@@ -19,7 +19,9 @@
 //!   with full content already in place and fails with `AlreadyExists`
 //!   if someone else holds it; plain tmp+rename would be last-writer-wins,
 //!   not mutual exclusion. The owner re-writes the lease's `beat_ms`
-//!   (heartbeat) while driving the cell and removes it at completion.
+//!   (heartbeat) from a thread of its own while driving the cell, so a
+//!   trial or batch longer than the staleness window never makes a live
+//!   owner look dead, and removes the lease at completion.
 //! * **Steal**: a lease whose heartbeat is older than the plan's
 //!   `stale_after_ms` is presumed dead. A thief `rename`s the lease onto a
 //!   private tombstone — exactly one concurrent thief wins the rename
@@ -55,7 +57,9 @@ use crate::report::CampaignReport;
 use crate::scenario::CampaignSpec;
 use crate::store::{checkpoint_key, hash128, store_key, Store};
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant, SystemTime};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::{Duration, SystemTime};
 
 /// Version of the shard plan / lease / planref file schemas. History:
 ///
@@ -869,78 +873,45 @@ pub fn shard_work(
         (plan.stale_after_ms / 4).clamp(5, 200)
     });
 
-    let mut trials_simulated = 0u64;
-    let mut cells_completed = 0u64;
-    let mut cells_stolen = 0u64;
-    let mut store_hits = 0u64;
-
+    let mut tally = Tally::default();
     loop {
         let mut all_done = true;
         let mut worked_this_pass = false;
         for c in 0..plan.cells() {
             let watermark = cell_watermark(state_dir, &plan, c)?;
-            let lpath = lease_path(state_dir, c);
-            let info = lease_info(&lpath)?;
-            let stale = |i: &LeaseInfo| now_ms().saturating_sub(i.beat_ms) > plan.stale_after_ms;
+            let info = lease_info(&lease_path(state_dir, c))?;
             if watermark >= n {
                 // Done. A leftover lease (owner died after the final
                 // checkpoint but before releasing) is garbage once stale.
-                if info.as_ref().is_some_and(&stale) {
+                if info.as_ref().is_some_and(|i| is_stale(&plan, i)) {
                     let _ = try_steal(state_dir, c, &opts.worker_id)?;
                 }
                 continue;
             }
             all_done = false;
-            match info {
-                Some(i) if !stale(&i) => continue, // live claim elsewhere
-                Some(_) => {
-                    if !try_steal(state_dir, c, &opts.worker_id)? {
-                        continue; // another thief beat us to it
-                    }
-                    cells_stolen += 1;
-                }
-                None => {}
-            }
-            let mut lease = Lease {
-                plan_id: plan.plan_id.clone(),
-                cell: c as u64,
-                owner: opts.worker_id.clone(),
-                claimed_ms: now_ms(),
-                beat_ms: now_ms(),
-            };
-            if !try_claim(state_dir, &lease)? {
-                continue; // lost the claim race
-            }
-            worked_this_pass = true;
-            match drive_cell(
+            match claim_step(
                 spec,
                 &plan,
                 state_dir,
                 store.as_ref(),
                 c,
-                &mut lease,
+                info,
                 opts,
-                trials_simulated,
+                &mut tally,
             )? {
-                Drive::Completed { simulated, warm } => {
-                    trials_simulated += simulated;
-                    cells_completed += 1;
-                    store_hits += warm as u64;
+                ClaimStep::Skipped => {}
+                ClaimStep::Worked => worked_this_pass = true,
+                ClaimStep::Killed { trials_simulated } => {
+                    return Ok(WorkerOutcome::Killed { trials_simulated });
                 }
-                Drive::Killed { simulated } => {
-                    return Ok(WorkerOutcome::Killed {
-                        trials_simulated: trials_simulated + simulated,
-                    });
-                }
-                Drive::Abandoned => {} // lease lost; partial state discarded
             }
         }
         if all_done {
             return Ok(WorkerOutcome::Finished {
-                cells_completed,
-                cells_stolen,
-                trials_simulated,
-                store_hits,
+                cells_completed: tally.cells_completed,
+                cells_stolen: tally.cells_stolen,
+                trials_simulated: tally.trials_simulated,
+                store_hits: tally.store_hits,
             });
         }
         if !worked_this_pass {
@@ -949,18 +920,116 @@ pub fn shard_work(
     }
 }
 
+fn is_stale(plan: &ShardPlan, info: &LeaseInfo) -> bool {
+    now_ms().saturating_sub(info.beat_ms) > plan.stale_after_ms
+}
+
+/// One worker's running totals, reported by [`WorkerOutcome::Finished`].
+#[derive(Default)]
+struct Tally {
+    trials_simulated: u64,
+    cells_completed: u64,
+    cells_stolen: u64,
+    store_hits: u64,
+}
+
+/// What [`claim_step`] did with a cell the scan found unfinished.
+enum ClaimStep {
+    /// Not this worker's: a live lease elsewhere, or a lost claim race.
+    Skipped,
+    /// Claimed and driven (or found already finished and released).
+    Worked,
+    /// The kill switch fired mid-cell; the lease stays in place.
+    Killed { trials_simulated: u64 },
+}
+
+/// Claim (stealing first if the scanned lease `info` is stale) and drive
+/// cell `c`, which the scan saw unfinished, counting what this worker did
+/// into `tally`.
+///
+/// The scan's watermark may be stale by the time the claim wins: another
+/// worker can finish the cell and release its lease in between. The cell
+/// is therefore re-read under the lease ([`drive_cell`] loads its
+/// checkpoint after the claim), and a cell found finished there is
+/// released and never counted.
+#[allow(clippy::too_many_arguments)]
+fn claim_step(
+    spec: &CampaignSpec,
+    plan: &ShardPlan,
+    state_dir: &Path,
+    store: Option<&Store>,
+    c: usize,
+    info: Option<LeaseInfo>,
+    opts: &WorkerOptions,
+    tally: &mut Tally,
+) -> Result<ClaimStep, ServiceError> {
+    match info {
+        Some(i) if !is_stale(plan, &i) => return Ok(ClaimStep::Skipped), // live claim elsewhere
+        Some(_) => {
+            if !try_steal(state_dir, c, &opts.worker_id)? {
+                return Ok(ClaimStep::Skipped); // another thief beat us to it
+            }
+            tally.cells_stolen += 1;
+        }
+        None => {}
+    }
+    let lease = Lease {
+        plan_id: plan.plan_id.clone(),
+        cell: c as u64,
+        owner: opts.worker_id.clone(),
+        claimed_ms: now_ms(),
+        beat_ms: now_ms(),
+    };
+    if !try_claim(state_dir, &lease)? {
+        return Ok(ClaimStep::Skipped); // lost the claim race
+    }
+    match drive_cell(
+        spec,
+        plan,
+        state_dir,
+        store,
+        c,
+        &lease,
+        opts,
+        tally.trials_simulated,
+    )? {
+        Drive::Completed { simulated, warm } => {
+            tally.trials_simulated += simulated;
+            tally.cells_completed += 1;
+            tally.store_hits += warm as u64;
+        }
+        Drive::Killed { simulated } => {
+            return Ok(ClaimStep::Killed {
+                trials_simulated: tally.trials_simulated + simulated,
+            });
+        }
+        // Lease lost (partial state discarded), or another worker had
+        // already finished the cell: nothing of it is this worker's.
+        Drive::Abandoned | Drive::AlreadyDone => {}
+    }
+    Ok(ClaimStep::Worked)
+}
+
 enum Drive {
-    Completed { simulated: u64, warm: bool },
-    Killed { simulated: u64 },
+    Completed {
+        simulated: u64,
+        warm: bool,
+    },
+    Killed {
+        simulated: u64,
+    },
     Abandoned,
+    /// The checkpoint loaded under the lease was already complete: another
+    /// worker finished the cell between the scan and the claim.
+    AlreadyDone,
 }
 
 /// Drive one claimed cell from its checkpoint watermark to `n`,
 /// checkpointing at the plan's cadence with ownership verified before
-/// every write, heartbeating on a `stale_after/4` cadence, honouring the
-/// kill switch, and publishing the completed cell to the store. Releases
-/// the lease on completion; leaves it on kill; the lease is already gone
-/// on abandon.
+/// every write, heartbeating on a `stale_after/4` cadence from a scoped
+/// thread while the trials run, honouring the kill switch, and publishing
+/// the completed cell to the store. Releases the lease on completion;
+/// leaves it on kill; the lease is already gone on abandon.
 #[allow(clippy::too_many_arguments)]
 fn drive_cell(
     spec: &CampaignSpec,
@@ -968,7 +1037,7 @@ fn drive_cell(
     state_dir: &Path,
     store: Option<&Store>,
     c: usize,
-    lease: &mut Lease,
+    lease: &Lease,
     opts: &WorkerOptions,
     already_simulated: u64,
 ) -> Result<Drive, ServiceError> {
@@ -1028,10 +1097,7 @@ fn drive_cell(
 
     if watermark >= n {
         release_lease(state_dir, lease)?;
-        return Ok(Drive::Completed {
-            simulated: 0,
-            warm: false,
-        });
+        return Ok(Drive::AlreadyDone);
     }
 
     // Only this cell gets blocks: every other cell's watermark is pinned
@@ -1045,53 +1111,74 @@ fn drive_cell(
     let blocks = trial_blocks(spec, &cfg, &watermarks);
 
     let beat_every = Duration::from_millis((plan.stale_after_ms / 4).max(1));
-    let mut last_beat = Instant::now();
+    let lost = AtomicBool::new(false);
     let mut abandoned = false;
     let mut killed = false;
-    let mut on_ingest = |cell_idx: usize, w: u64, acc: &CellAccumulator, simulated: u64| {
-        debug_assert_eq!(cell_idx, c, "worker drives exactly one cell");
-        let boundary = w == n || w.is_multiple_of(plan.checkpoint_every);
-        if boundary {
-            // Cooperative fencing: never write a checkpoint for a cell we
-            // no longer own.
-            if !still_owner(state_dir, lease)? {
+    let outcome = std::thread::scope(|scope| {
+        // The heartbeat runs beside the trials, not between ingests: one
+        // trial, or one batch of trials, can outlast the staleness window.
+        // It stops (and the kill path leaves the lease to go stale) once
+        // `stop` is dropped.
+        let (stop, stopped) = mpsc::channel::<()>();
+        let lost = &lost;
+        let mut mine = lease.clone();
+        let beater = scope.spawn(move || loop {
+            if stopped.recv_timeout(beat_every) != Err(RecvTimeoutError::Timeout) {
+                return Ok(());
+            }
+            let beat = heartbeat(state_dir, &mut mine);
+            if !matches!(beat, Ok(true)) {
+                // Ownership lost, or the lease write failed: the trials
+                // stop at their next ingest.
+                lost.store(true, Ordering::SeqCst);
+                return beat.map(|_| ());
+            }
+        });
+        let mut on_ingest = |cell_idx: usize, w: u64, acc: &CellAccumulator, simulated: u64| {
+            debug_assert_eq!(cell_idx, c, "worker drives exactly one cell");
+            if lost.load(Ordering::SeqCst) {
                 abandoned = true;
                 return Ok(IngestControl::Stop);
             }
-            let ckpt = CellCheckpoint {
-                key: plan.cell_keys[c].clone(),
-                campaign: plan.campaign.clone(),
-                cell_index: c as u64,
-                seed: plan.seed,
-                trials_done: w,
-                state: acc.clone(),
-            };
-            write_checkpoint(state_dir, &ckpt)?;
-        }
-        if last_beat.elapsed() >= beat_every {
-            if !heartbeat(state_dir, lease)? {
-                abandoned = true;
+            let boundary = w == n || w.is_multiple_of(plan.checkpoint_every);
+            if boundary {
+                // Cooperative fencing: never write a checkpoint for a cell
+                // we no longer own.
+                if !still_owner(state_dir, lease)? {
+                    abandoned = true;
+                    return Ok(IngestControl::Stop);
+                }
+                let ckpt = CellCheckpoint {
+                    key: plan.cell_keys[c].clone(),
+                    campaign: plan.campaign.clone(),
+                    cell_index: c as u64,
+                    seed: plan.seed,
+                    trials_done: w,
+                    state: acc.clone(),
+                };
+                write_checkpoint(state_dir, &ckpt)?;
+            }
+            if opts
+                .max_trials
+                .is_some_and(|k| already_simulated + simulated >= k)
+            {
+                killed = true;
                 return Ok(IngestControl::Stop);
             }
-            last_beat = Instant::now();
-        }
-        if opts
-            .max_trials
-            .is_some_and(|k| already_simulated + simulated >= k)
-        {
-            killed = true;
-            return Ok(IngestControl::Stop);
-        }
-        Ok(IngestControl::Continue)
-    };
-    let outcome = run_trial_blocks(
-        spec,
-        &cfg,
-        &blocks,
-        &mut accs,
-        &mut watermarks,
-        &mut on_ingest,
-    )?;
+            Ok(IngestControl::Continue)
+        };
+        let outcome = run_trial_blocks(
+            spec,
+            &cfg,
+            &blocks,
+            &mut accs,
+            &mut watermarks,
+            &mut on_ingest,
+        );
+        drop(stop);
+        let beat = beater.join().expect("the heartbeat thread does not panic");
+        beat.and(outcome)
+    })?;
 
     if killed {
         // Leave the lease in place: this models a hard death, and the
@@ -1491,6 +1578,57 @@ mod tests {
         assert!(info.lease.is_none());
         assert!(info.beat_ms > 0, "mtime fallback populated");
         assert!(try_steal(&dir, 1, "thief").expect("steal"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The claim race, forced without timing: worker B scans cell 0 as
+    /// unfinished, worker A then finishes every cell and releases its
+    /// leases, and only then does B's claim step run on its stale scan.
+    /// B wins the now-free lease but must release it and count nothing.
+    #[test]
+    fn late_claim_on_a_finished_cell_counts_nothing() {
+        let dir = scratch("late-claim");
+        let spec = tiny_spec();
+        let plan = write_plan(&spec, &cfg(3), &dir, &PlanOptions::default()).expect("plan");
+        let worker = |id: &str| WorkerOptions {
+            worker_id: id.into(),
+            threads: 1,
+            ..Default::default()
+        };
+
+        assert_eq!(cell_watermark(&dir, &plan, 0).expect("scan"), 0);
+        let scanned = lease_info(&lease_path(&dir, 0)).expect("scan");
+        assert!(scanned.is_none(), "nobody holds cell 0 at scan time");
+
+        let a = shard_work(&spec, &dir, &worker("a")).expect("worker a");
+        assert!(
+            matches!(
+                a,
+                WorkerOutcome::Finished {
+                    cells_completed: 2,
+                    ..
+                }
+            ),
+            "{a:?}"
+        );
+
+        let mut tally = Tally::default();
+        let step = claim_step(
+            &spec,
+            &plan,
+            &dir,
+            None,
+            0,
+            scanned,
+            &worker("b"),
+            &mut tally,
+        )
+        .expect("worker b claim step");
+        assert!(matches!(step, ClaimStep::Worked));
+        assert_eq!(tally.cells_completed, 0, "b counted a cell a finished");
+        assert_eq!(tally.trials_simulated, 0);
+        assert!(!lease_path(&dir, 0).exists(), "b released the lease");
+        shard_merge(&spec, &dir).expect("merge after the late claim");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -94,12 +94,13 @@ impl ChannelBoard {
         if jammed {
             return Feedback::Noise;
         }
+        // One search for the first broadcast on `ch`; the entry after it
+        // tells a lone broadcast from a collision.
         let start = self.bcasts.partition_point(|&(c, _)| c < ch);
-        let end = self.bcasts.partition_point(|&(c, _)| c <= ch);
-        match end - start {
-            0 => Feedback::Silence,
-            1 => Feedback::Message(self.bcasts[start].1),
-            _ => Feedback::Noise,
+        match &self.bcasts[start..] {
+            [(c, _), (next, _), ..] if *c == ch && *next == ch => Feedback::Noise,
+            [(c, payload), ..] if *c == ch => Feedback::Message(*payload),
+            _ => Feedback::Silence,
         }
     }
 

@@ -28,18 +28,25 @@
 //! `MultiCastCore`/`MultiCast` or one step of an `(i, j)`-phase of
 //! `MultiCastAdv`). Within a segment every slot proceeds as:
 //!
-//! 1. **Actor sampling** (once per *round*; rounds are single slots except in
-//!    round-simulated protocols such as `MultiCast(C)`): the acting subset of
-//!    the active nodes is drawn exactly — each node independently lands in
-//!    coin class 1 w.p. `p1`, class 2 w.p. `p2` — using geometric-skip
-//!    sampling (see [`crate::sampler`]). Selected nodes choose their concrete
-//!    action and channel.
-//! 2. **Jamming**: the adversary is asked (slot index and channel count only
-//!    — she is oblivious) which channels she jams; the engine charges her
-//!    budget and truncates the request if she cannot afford it.
+//! 1. **Actors** (sampled once per *round*; rounds are single slots except
+//!    in round-simulated protocols such as `MultiCast(C)`): the acting
+//!    subset of the active nodes is drawn exactly — each node independently
+//!    lands in coin class 1 w.p. `p1`, class 2 w.p. `p2` — using
+//!    geometric-skip sampling (see [`crate::sampler`]). Each selected node
+//!    chooses its concrete action and channel, and the action executes as
+//!    soon as it is chosen: the node is charged one unit of energy and
+//!    registered as a listener or broadcaster of the slot. Only a
+//!    round-simulated protocol (`round_len > 1`) buffers the actions it aims
+//!    at a later sub-slot of the round; they execute, and are charged, when
+//!    that sub-slot is stepped, so a slot cap that falls mid-round charges
+//!    only the sub-slots that ran.
+//! 2. **Jamming**, after every selection of the slot: the adversary is asked
+//!    which channels she jams (slot index and channel count; an adaptive
+//!    Eve also sees the previous slot's band); the engine charges her budget
+//!    and truncates the request if she cannot afford it.
 //! 3. **Resolution**: per channel — silence / message / noise per the model
-//!    of Section 3 of the paper; listeners receive feedback; energy is
-//!    charged to every listener and broadcaster.
+//!    of Section 3 of the paper; listeners receive feedback in selection
+//!    order.
 //! 4. **Boundaries**: at a segment's end every active node runs its
 //!    end-of-segment checks and may halt.
 //!
@@ -228,6 +235,59 @@ impl Observer for CountingObserver<'_> {
     fn on_idle_span(&mut self, slot: u64, len: u64, jammed: u64) {
         self.events += 1;
         self.inner.on_idle_span(slot, len, jammed);
+    }
+}
+
+/// The physical slot being stepped, plus the per-node energy ledger its
+/// actions are charged to. An action enters through
+/// [`execute`](Self::execute) as soon as it is due: when `on_selected`
+/// returns for sub-slot 0, or when a round-simulated protocol's buffered
+/// action reaches its later sub-slot.
+struct SlotExec {
+    board: ChannelBoard,
+    /// `(node, physical channel)` of every listener, in selection order.
+    listeners: Vec<(u32, u64)>,
+    /// Broadcasters with their node ids, for topology-aware delivery.
+    bcasters: Vec<(u32, u64, Payload)>,
+    stats: SlotStats,
+    listen_cost: Vec<u64>,
+    bcast_cost: Vec<u64>,
+    /// The board is read for single-hop listener outcomes and for band
+    /// observations; a topology run with an oblivious Eve never reads it.
+    use_board: bool,
+    keep_bcasters: bool,
+}
+
+impl SlotExec {
+    fn begin(&mut self) {
+        self.board.clear();
+        self.listeners.clear();
+        self.bcasters.clear();
+        self.stats = SlotStats::default();
+    }
+
+    /// Charge `nid` one unit of energy for `action` (on a physical
+    /// channel) and register it with this slot.
+    #[inline]
+    fn execute(&mut self, nid: u32, action: Action) {
+        match action {
+            Action::Idle => {}
+            Action::Listen { ch } => {
+                self.listen_cost[nid as usize] += 1;
+                self.stats.listens += 1;
+                self.listeners.push((nid, ch));
+            }
+            Action::Broadcast { ch, payload } => {
+                self.bcast_cost[nid as usize] += 1;
+                self.stats.broadcasts += 1;
+                if self.use_board {
+                    self.board.add_broadcast(ch, payload);
+                }
+                if self.keep_bcasters {
+                    self.bcasters.push((nid, ch, payload));
+                }
+            }
+        }
     }
 }
 
@@ -570,8 +630,6 @@ fn run_core<'e, P: Protocol>(
     informed_at[0] = Some(0); // the source knows m from the start
     let mut halted_at: Vec<Option<u64>> = vec![None; n as usize];
     let mut halted_informed: Vec<bool> = vec![false; n as usize];
-    let mut listen_cost: Vec<u64> = vec![0; n as usize];
-    let mut bcast_cost: Vec<u64> = vec![0; n as usize];
     let mut informed_count: u32 = 1;
 
     // Crash bookkeeping (nemesis layer): crashed nodes keep their state but
@@ -626,29 +684,31 @@ fn run_core<'e, P: Protocol>(
     let mut eve_spent: u64 = 0;
 
     let mut totals = SlotStats::default();
-    let mut board = ChannelBoard::new();
 
     // Scratch buffers reused across slots.
     let mut class1: Vec<u32> = Vec::new();
     let mut class2: Vec<u32> = Vec::new();
-    // Buffered actions per sub-slot of the current round.
+    // Actions a round-simulated protocol aims at a later sub-slot of the
+    // current round, indexed by sub-slot (entry 0 stays empty: sub-slot 0
+    // actions execute as they are selected).
     let mut round_buf: Vec<Vec<(u32, Action)>> = vec![Vec::new()];
-    // Listeners of the current physical slot: (node, physical channel).
-    let mut listeners: Vec<(u32, u64)> = Vec::new();
-    // Broadcasters of the current physical slot, kept with their node ids
-    // for the topology-aware delivery step (topology runs only).
-    let mut bcasters: Vec<(u32, u64, Payload)> = Vec::new();
     // Band observations for adaptive adversaries (previous slot / scratch);
     // maintained only when the adversary actually reads them.
     let observes = eve.observes() || swaps_observe;
     let mut prev_obs = BandObservation::default();
     let mut next_obs = BandObservation::default();
+    let mut exec = SlotExec {
+        board: ChannelBoard::new(),
+        listeners: Vec::new(),
+        bcasters: Vec::new(),
+        stats: SlotStats::default(),
+        listen_cost: vec![0; n as usize],
+        bcast_cost: vec![0; n as usize],
+        use_board: topo.is_none() || observes,
+        keep_bcasters: topo.is_some(),
+    };
 
     let fast_forward = cfg.fast_forward && cfg.sampling == Sampling::Sparse;
-    // The channel board is read for listener outcomes on the single-hop
-    // path and for band observations when the adversary senses; on a
-    // topology run with an oblivious adversary nothing ever reads it.
-    let use_board = topo.is_none() || observes;
 
     let mut slot: u64 = 0;
     let mut prof = checked_profile(protocol.segment(0), n);
@@ -792,75 +852,78 @@ fn run_core<'e, P: Protocol>(
             }
         }
 
-        // --- 1. Actor sampling / idle fast-forward at round start -----------
-        if sub == 0 {
-            if ff_active {
-                let empty_rounds = match stream.as_mut() {
-                    Some(s) => s.empty_rounds_ahead(),
-                    // Dead air: every node is crashed, every round is empty.
-                    None => u64::MAX,
+        // --- 1. Idle fast-forward at round start -----------------------------
+        if sub == 0 && ff_active {
+            let empty_rounds = match stream.as_mut() {
+                Some(s) => s.empty_rounds_ahead(),
+                // Dead air: every node is crashed, every round is empty.
+                None => u64::MAX,
+            };
+            if empty_rounds > 0 {
+                let t_span = cfg.time_phases.then(Instant::now);
+                // The run of empty rounds ahead, clipped to the segment
+                // (profiles change at boundaries) and to the slot cap.
+                let rounds_left = (seg_end - slot) / round_len;
+                let mut whole_rounds = empty_rounds.min(rounds_left);
+                if next_event_idx < sched.len() {
+                    // Never skip past a pending event: clip the span so
+                    // the event's round start stays a span boundary.
+                    let gap = sched[next_event_idx].0.saturating_sub(slot).max(1);
+                    whole_rounds = whole_rounds.min(gap.div_ceil(round_len));
+                }
+                let mut span = whole_rounds * round_len;
+                let avail = cfg.max_slots - slot;
+                if span > avail {
+                    span = avail; // ends the run; a partial round is fine
+                    whole_rounds = span / round_len;
+                }
+                let spent = if eve_remaining > 0 {
+                    let charge = eve.jam_span(slot, span, prof.channels, eve_remaining, &prev_obs);
+                    debug_assert!(charge.spent <= eve_remaining, "jam_span overspent");
+                    // Clamp in release too: a buggy closed-form override
+                    // must bankrupt Eve, not underflow her into riches.
+                    let spent = charge.spent.min(eve_remaining);
+                    eve_remaining -= spent;
+                    eve_spent += spent;
+                    totals.jammed += spent;
+                    spent
+                } else {
+                    0
                 };
-                if empty_rounds > 0 {
-                    let t_span = cfg.time_phases.then(Instant::now);
-                    // The run of empty rounds ahead, clipped to the segment
-                    // (profiles change at boundaries) and to the slot cap.
-                    let rounds_left = (seg_end - slot) / round_len;
-                    let mut whole_rounds = empty_rounds.min(rounds_left);
-                    if next_event_idx < sched.len() {
-                        // Never skip past a pending event: clip the span so
-                        // the event's round start stays a span boundary.
-                        let gap = sched[next_event_idx].0.saturating_sub(slot).max(1);
-                        whole_rounds = whole_rounds.min(gap.div_ceil(round_len));
-                    }
-                    let mut span = whole_rounds * round_len;
-                    let avail = cfg.max_slots - slot;
-                    if span > avail {
-                        span = avail; // ends the run; a partial round is fine
-                        whole_rounds = span / round_len;
-                    }
-                    let spent = if eve_remaining > 0 {
-                        let charge =
-                            eve.jam_span(slot, span, prof.channels, eve_remaining, &prev_obs);
-                        debug_assert!(charge.spent <= eve_remaining, "jam_span overspent");
-                        // Clamp in release too: a buggy closed-form override
-                        // must bankrupt Eve, not underflow her into riches.
-                        let spent = charge.spent.min(eve_remaining);
-                        eve_remaining -= spent;
-                        eve_spent += spent;
-                        totals.jammed += spent;
-                        spent
-                    } else {
-                        0
-                    };
-                    // The span's slots are silent, so after it the previous
-                    // slot's observation is the empty band — exactly what the
-                    // per-slot path would have recorded for every span slot.
-                    if observes {
-                        prev_obs.clear();
-                        prev_obs.channels = prof.channels;
-                    }
-                    if let Some(s) = stream.as_mut() {
-                        s.skip_rounds(whole_rounds);
-                    }
-                    tel.record_span(span, spent);
-                    observer.on_idle_span(slot, span, spent);
-                    slot += span;
-                    fast_forwarded = true;
-                    if let Some(t) = t_span {
-                        ff_nanos += t.elapsed().as_nanos() as u64;
-                    }
+                // The span's slots are silent, so after it the previous
+                // slot's observation is the empty band — exactly what the
+                // per-slot path would have recorded for every span slot.
+                if observes {
+                    prev_obs.clear();
+                    prev_obs.channels = prof.channels;
+                }
+                if let Some(s) = stream.as_mut() {
+                    s.skip_rounds(whole_rounds);
+                }
+                tel.record_span(span, spent);
+                observer.on_idle_span(slot, span, spent);
+                slot += span;
+                fast_forwarded = true;
+                if let Some(t) = t_span {
+                    ff_nanos += t.elapsed().as_nanos() as u64;
                 }
             }
-            // ==== TELEMETRY HOT SECTION: BEGIN =============================
-            // Per-slot execution path. No wall-clock reads allowed in this
-            // range (CI greps it for clock calls); timing stays at phase
-            // granularity so throughput is never spent on the clock.
-            if !fast_forwarded {
-                for buf in &mut round_buf {
-                    buf.clear();
-                }
-                if round_buf.len() < round_len as usize {
-                    round_buf.resize_with(round_len as usize, Vec::new);
+        }
+        // ==== TELEMETRY HOT SECTION: BEGIN =================================
+        // Per-slot execution path. No wall-clock reads allowed in this
+        // range (CI greps it for clock calls); timing stays at phase
+        // granularity so throughput is never spent on the clock.
+        if !fast_forwarded {
+            // --- 2. Actors: sample at round start, execute on select --------
+            exec.begin();
+            if sub == 0 {
+                if round_len > 1 {
+                    for buf in &mut round_buf {
+                        buf.clear();
+                    }
+                    if round_buf.len() < round_len as usize {
+                        round_buf.resize_with(round_len as usize, Vec::new);
+                    }
                 }
                 class1.clear();
                 class2.clear();
@@ -891,36 +954,43 @@ fn run_core<'e, P: Protocol>(
                             coin,
                             &mut node_rngs[nid as usize],
                         );
-                        match action {
-                            Action::Idle => {}
-                            Action::Listen { ch } | Action::Broadcast { ch, .. } => {
-                                debug_assert!(
-                                    ch < prof.virt_channels,
-                                    "node picked channel {ch} of {}",
-                                    prof.virt_channels
-                                );
-                                let (target, phys) = if round_len == 1 {
-                                    (0u64, ch)
-                                } else {
-                                    (ch / prof.channels, ch % prof.channels)
-                                };
-                                let mapped = match action {
-                                    Action::Listen { .. } => Action::Listen { ch: phys },
-                                    Action::Broadcast { payload, .. } => {
-                                        Action::Broadcast { ch: phys, payload }
-                                    }
-                                    Action::Idle => unreachable!(),
-                                };
-                                round_buf[target as usize].push((nid, mapped));
+                        let (Action::Listen { ch } | Action::Broadcast { ch, .. }) = action else {
+                            continue;
+                        };
+                        debug_assert!(
+                            ch < prof.virt_channels,
+                            "node picked channel {ch} of {}",
+                            prof.virt_channels
+                        );
+                        if round_len == 1 {
+                            exec.execute(nid, action);
+                            continue;
+                        }
+                        // Round-simulated protocol: virtual channel `ch` is
+                        // physical channel `ch % channels` of sub-slot
+                        // `ch / channels`; only later sub-slots wait.
+                        let target = (ch / prof.channels) as usize;
+                        let phys = ch % prof.channels;
+                        let mapped = match action {
+                            Action::Broadcast { payload, .. } => {
+                                Action::Broadcast { ch: phys, payload }
                             }
+                            _ => Action::Listen { ch: phys },
+                        };
+                        if target == 0 {
+                            exec.execute(nid, mapped);
+                        } else {
+                            round_buf[target].push((nid, mapped));
                         }
                     }
                 }
+            } else {
+                for &(nid, action) in &round_buf[sub as usize] {
+                    exec.execute(nid, action);
+                }
             }
-        }
 
-        if !fast_forwarded {
-            // --- 2. Jamming --------------------------------------------------
+            // --- 3. Jamming --------------------------------------------------
             // `take` is both her spend and the size of the (possibly
             // truncated) jam set, so it is never recounted.
             let (jam, take) = if eve_remaining == 0 {
@@ -939,42 +1009,16 @@ fn run_core<'e, P: Protocol>(
                 };
                 (jam.normalize(prof.channels), take)
             };
+            exec.stats.jammed = take;
 
-            // --- 3. Execute this sub-slot's buffered actions -----------------
-            board.clear();
-            listeners.clear();
-            bcasters.clear();
-            let mut slot_stats = SlotStats {
-                jammed: take,
-                ..SlotStats::default()
-            };
-            for &(nid, action) in &round_buf[sub as usize] {
-                match action {
-                    Action::Idle => {}
-                    Action::Listen { ch } => {
-                        listen_cost[nid as usize] += 1;
-                        slot_stats.listens += 1;
-                        listeners.push((nid, ch));
-                    }
-                    Action::Broadcast { ch, payload } => {
-                        bcast_cost[nid as usize] += 1;
-                        slot_stats.broadcasts += 1;
-                        if use_board {
-                            board.add_broadcast(ch, payload);
-                        }
-                        if topo.is_some() {
-                            bcasters.push((nid, ch, payload));
-                        }
-                    }
-                }
-            }
-            if use_board {
-                board.resolve();
+            // --- 4. Resolution: feedback to this slot's listeners -----------
+            if exec.use_board {
+                exec.board.resolve();
             }
             // Dynamic topologies churn per round; key edges by the round's
             // starting slot.
             let round_key = slot - sub;
-            for &(nid, ch) in &listeners {
+            for &(nid, ch) in &exec.listeners {
                 let jammed = jam.contains(ch, prof.channels);
                 let fb = match &topo {
                     // Topology-aware delivery: only adjacent broadcasters
@@ -987,7 +1031,7 @@ fn run_core<'e, P: Protocol>(
                         } else {
                             let mut heard = 0u32;
                             let mut payload = Payload::Data;
-                            for &(bid, bch, pl) in &bcasters {
+                            for &(bid, bch, pl) in &exec.bcasters {
                                 if bch != ch || !view.connected(bid, nid, round_key) {
                                     continue;
                                 }
@@ -1018,12 +1062,12 @@ fn run_core<'e, P: Protocol>(
                             }
                         }
                     }
-                    None => board.outcome(ch, jammed),
+                    None => exec.board.outcome(ch, jammed),
                 };
                 match fb {
-                    Feedback::Silence => slot_stats.heard_silence += 1,
-                    Feedback::Message(_) => slot_stats.heard_message += 1,
-                    Feedback::Noise => slot_stats.heard_noise += 1,
+                    Feedback::Silence => exec.stats.heard_silence += 1,
+                    Feedback::Message(_) => exec.stats.heard_message += 1,
+                    Feedback::Noise => exec.stats.heard_noise += 1,
                 }
                 let node = &mut nodes[nid as usize];
                 let was_informed = node.is_informed();
@@ -1045,20 +1089,20 @@ fn run_core<'e, P: Protocol>(
                     );
                 }
             }
-            totals.broadcasts += slot_stats.broadcasts;
-            totals.listens += slot_stats.listens;
-            totals.heard_silence += slot_stats.heard_silence;
-            totals.heard_message += slot_stats.heard_message;
-            totals.heard_noise += slot_stats.heard_noise;
-            totals.jammed += slot_stats.jammed;
-            observer.on_slot(slot, &slot_stats);
+            totals.broadcasts += exec.stats.broadcasts;
+            totals.listens += exec.stats.listens;
+            totals.heard_silence += exec.stats.heard_silence;
+            totals.heard_message += exec.stats.heard_message;
+            totals.heard_noise += exec.stats.heard_noise;
+            totals.jammed += exec.stats.jammed;
+            observer.on_slot(slot, &exec.stats);
 
             // Record the band activity for the adaptive adversary's next
             // call — skipped entirely for strategies that never read it.
             if observes {
                 next_obs.clear();
                 next_obs.channels = prof.channels;
-                board.busy_channels(&mut next_obs.busy);
+                exec.board.busy_channels(&mut next_obs.busy);
                 std::mem::swap(&mut prev_obs, &mut next_obs);
             }
 
@@ -1066,7 +1110,7 @@ fn run_core<'e, P: Protocol>(
             slot += 1;
         }
 
-        // --- 4. Segment boundary ---------------------------------------------
+        // --- 5. Segment boundary ---------------------------------------------
         if slot == seg_end {
             let mut any_halt = false;
             for &nid in &active {
@@ -1152,8 +1196,8 @@ fn run_core<'e, P: Protocol>(
             id: i as u32,
             informed_at: informed_at[i],
             halted_at: halted_at[i],
-            listen_cost: listen_cost[i],
-            broadcast_cost: bcast_cost[i],
+            listen_cost: exec.listen_cost[i],
+            broadcast_cost: exec.bcast_cost[i],
             halted_informed: halted_informed[i],
             extra: node_extra(&nodes[i]),
         })

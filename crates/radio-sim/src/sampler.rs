@@ -15,8 +15,8 @@ use crate::rng::Xoshiro256;
 /// independently with probability `p`.
 ///
 /// Exactness: the gap between consecutive selected indices (and the offset of
-/// the first) is distributed `Geometric(p)` on `{0, 1, …}`; we draw it as
-/// `⌊ln(1−U)/ln(1−p)⌋` with `U ∈ [0,1)` uniform, the standard inversion.
+/// the first) is distributed `Geometric(p)` on `{0, 1, …}`; each is one
+/// [`geometric_gap`] draw.
 pub fn bernoulli_subset(rng: &mut Xoshiro256, m: usize, p: f64, out: &mut Vec<u32>) {
     if m == 0 || p <= 0.0 {
         return;
@@ -25,22 +25,21 @@ pub fn bernoulli_subset(rng: &mut Xoshiro256, m: usize, p: f64, out: &mut Vec<u3
         out.extend(0..m as u32);
         return;
     }
-    let ln_q = (1.0 - p).ln(); // strictly negative
+    let ln_q = (1.0 - p).ln();
+    let m = m as u64;
     let mut i: u64 = 0;
     loop {
-        let u = rng.next_f64(); // [0, 1)
-                                // 1 - u ∈ (0, 1]; ln(1-u) ∈ (-inf, 0]; skip ∈ {0, 1, ...}
-        let skip = ((1.0 - u).ln() / ln_q).floor();
-        if !skip.is_finite() || skip >= (m as f64) {
+        let skip = geometric_gap(rng, ln_q);
+        if skip >= m {
             break; // next selected index would be past the end
         }
-        i += skip as u64;
-        if i >= m as u64 {
+        i += skip;
+        if i >= m {
             break;
         }
         out.push(i as u32);
         i += 1;
-        if i >= m as u64 {
+        if i >= m {
             break;
         }
     }
@@ -110,16 +109,30 @@ pub fn sample_two_class(
 /// from a precomputed `ln_q = ln(1 − p)`, saturating to `u64::MAX`
 /// ("never") on overflow or a degenerate draw.
 ///
-/// `ln_q` must be finite and strictly negative (`p ∈ (0, 1)`); callers
+/// `ln_q` must be finite and non-positive: `p ∈ (0, 1)`, where a `p` below
+/// f64 resolution rounds `ln_q` to zero and never succeeds. Callers
 /// special-case `p ≤ 0` (never succeeds) and `p ≥ 1` (always succeeds)
-/// themselves. Shared by [`TwoClassRoundStream`] and the sojourn-jump
-/// adversaries in `rcb-adversary` so the numerically subtle edge cases
-/// (`U → 1`, tiny `p`, f64→u64 saturation) live in exactly one place.
+/// themselves. Shared by [`bernoulli_subset`], [`TwoClassRoundStream`] and
+/// the sojourn-jump adversaries in `rcb-adversary` so the numerically
+/// subtle edge cases (`U → 1`, tiny `p`, f64→u64 saturation) live in
+/// exactly one place.
 #[inline]
 pub fn geometric_gap(rng: &mut Xoshiro256, ln_q: f64) -> u64 {
-    debug_assert!(ln_q.is_finite() && ln_q < 0.0, "ln_q = {ln_q}");
-    let u = rng.next_f64();
-    let gap = ((1.0 - u).ln() / ln_q).floor();
+    debug_assert!(ln_q.is_finite() && ln_q <= 0.0, "ln_q = {ln_q}");
+    gap_from_uniform(rng.next_f64(), ln_q)
+}
+
+/// The inversion of [`geometric_gap`] for one uniform `u ∈ [0, 1)`.
+///
+/// No `floor`: `1 − u ∈ (0, 1]`, so `ln(1 − u) ≤ 0`, and with `ln_q < 0`
+/// the quotient is never negative (at worst `−0.0`, at `u = 0`). Casting a
+/// non-negative finite f64 below 2⁶⁴ truncates toward zero, which is
+/// exactly the floor, and saves a libm call on targets without a rounding
+/// instruction (baseline x86-64). Every non-finite quotient — `+inf` from
+/// a tiny `|ln_q|`, and the `−inf`/NaN of `ln_q = 0` — saturates.
+#[inline]
+fn gap_from_uniform(u: f64, ln_q: f64) -> u64 {
+    let gap = (1.0 - u).ln() / ln_q;
     if gap.is_finite() && gap < u64::MAX as f64 {
         gap as u64
     } else {
@@ -210,7 +223,9 @@ impl TwoClassRoundStream {
     /// least one. Costs no randomness.
     #[inline]
     pub fn empty_rounds_ahead(&self) -> u64 {
-        if self.gap == u64::MAX {
+        if self.gap < self.m {
+            0
+        } else if self.gap == u64::MAX {
             u64::MAX
         } else {
             self.gap / self.m
@@ -254,6 +269,9 @@ impl TwoClassRoundStream {
         }
     }
 
+    /// Thin one actor into its class. With the paper's coin (`p1 = p2`)
+    /// the draw is an unpredictable 50/50, so the list is chosen from it
+    /// and pushed once rather than branched on.
     #[inline]
     fn classify(
         &self,
@@ -262,15 +280,14 @@ impl TwoClassRoundStream {
         class1: &mut Vec<u32>,
         class2: &mut Vec<u32>,
     ) {
-        if self.p2 <= 0.0 {
-            class1.push(idx);
+        let first = if self.p2 <= 0.0 {
+            true
         } else if self.p1 <= 0.0 {
-            class2.push(idx);
-        } else if rng.gen_bool(self.frac1) {
-            class1.push(idx);
+            false
         } else {
-            class2.push(idx);
-        }
+            rng.gen_bool(self.frac1)
+        };
+        if first { class1 } else { class2 }.push(idx);
     }
 }
 
@@ -550,6 +567,99 @@ mod tests {
         one_sided.next_round(&mut rng, &mut c1, &mut c2);
         assert_eq!(c1.len(), 100);
         assert!(c2.is_empty());
+    }
+
+    /// The inversion as written before the floor was dropped: the
+    /// reference `geometric_gap` must reproduce bit for bit.
+    fn floor_reference_gap(u: f64, ln_q: f64) -> u64 {
+        let gap = ((1.0 - u).ln() / ln_q).floor();
+        if gap.is_finite() && gap < u64::MAX as f64 {
+            gap as u64
+        } else {
+            u64::MAX
+        }
+    }
+
+    const EXACTNESS_PS: [f64; 6] = [1e-12, 1e-6, 1.0 / 64.0, 0.3, 0.87, 0.999999];
+
+    #[test]
+    fn geometric_gap_equals_the_floor_reference() {
+        for (k, &p) in EXACTNESS_PS.iter().enumerate() {
+            let ln_q = (1.0 - p).ln();
+            let mut rng = Xoshiro256::seeded(0x6A9 + k as u64);
+            let mut reference = rng.clone();
+            for _ in 0..100_000 {
+                let want = floor_reference_gap(reference.next_f64(), ln_q);
+                assert_eq!(geometric_gap(&mut rng, ln_q), want, "p = {p}");
+            }
+        }
+    }
+
+    #[test]
+    fn geometric_gap_edge_uniforms_match_the_floor_reference() {
+        // The largest uniform `next_f64` returns.
+        let u_max = 1.0 - f64::EPSILON / 2.0;
+        for &p in &EXACTNESS_PS {
+            let ln_q = (1.0 - p).ln();
+            // U = 0: the quotient is −0.0, and the gap is 0.
+            assert_eq!((1.0f64 - 0.0).ln() / ln_q, 0.0);
+            assert!(((1.0f64 - 0.0).ln() / ln_q).is_sign_negative());
+            assert_eq!(gap_from_uniform(0.0, ln_q), 0, "p = {p}");
+            assert_eq!(floor_reference_gap(0.0, ln_q), 0, "p = {p}");
+            assert_eq!(
+                gap_from_uniform(u_max, ln_q),
+                floor_reference_gap(u_max, ln_q),
+                "p = {p}, U = 1 - 2^-53"
+            );
+        }
+        // A vanishing |ln_q| overflows u64 on every draw: saturate.
+        let ln_q = -1e-300;
+        assert_eq!(gap_from_uniform(u_max, ln_q), u64::MAX);
+        let mut rng = Xoshiro256::seeded(0x5A7);
+        for _ in 0..10_000 {
+            assert_eq!(geometric_gap(&mut rng, ln_q), u64::MAX);
+        }
+    }
+
+    /// `bernoulli_subset` draws its gaps through `geometric_gap`; its
+    /// samples and RNG consumption equal those of its former inline floor.
+    #[test]
+    fn bernoulli_subset_equals_the_floor_reference() {
+        fn reference_subset(rng: &mut Xoshiro256, m: usize, p: f64, out: &mut Vec<u32>) {
+            let ln_q = (1.0 - p).ln();
+            let mut i: u64 = 0;
+            loop {
+                let skip = ((1.0 - rng.next_f64()).ln() / ln_q).floor();
+                if !skip.is_finite() || skip >= (m as f64) {
+                    break;
+                }
+                i += skip as u64;
+                if i >= m as u64 {
+                    break;
+                }
+                out.push(i as u32);
+                i += 1;
+                if i >= m as u64 {
+                    break;
+                }
+            }
+        }
+        let mut params = Xoshiro256::seeded(0xB5);
+        let mut rng = Xoshiro256::seeded(0xB6);
+        let mut reference = rng.clone();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for k in 0..20_000 {
+            let m = 1 + params.gen_range(600) as usize;
+            let p = EXACTNESS_PS[k % EXACTNESS_PS.len()].min(params.next_f64());
+            got.clear();
+            want.clear();
+            bernoulli_subset(&mut rng, m, p, &mut got);
+            if p > 0.0 {
+                reference_subset(&mut reference, m, p, &mut want);
+            }
+            assert_eq!(got, want, "m = {m}, p = {p}");
+            assert_eq!(rng.draws(), reference.draws(), "m = {m}, p = {p}");
+        }
     }
 
     #[test]

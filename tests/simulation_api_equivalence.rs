@@ -24,8 +24,8 @@
 //! Runs as a CI gate in the bench-smoke job alongside
 //! `topology_equivalence` and `adaptive_fast_forward`.
 
-use rcb::adversary::{ReactiveJammer, UniformFraction};
-use rcb::core::{McParams, MultiCast, MultiHopCast};
+use rcb::adversary::{FullBandBurst, ReactiveJammer, UniformFraction};
+use rcb::core::{McParams, MultiCast, MultiCastAdv, MultiCastC, MultiHopCast};
 use rcb::sim::{
     derive_seed, EngineConfig, Eve, Protocol, RecordingObserver, RunOutcome, Simulation, Topology,
 };
@@ -249,4 +249,99 @@ fn complete_topology_equals_no_topology() {
             assert_eq!(none, complete, "{proto} / {eve} / seed {seed}");
         }
     }
+}
+
+/// A slot-loop golden key: (cell, seed).
+type LoopCell = (&'static str, u64);
+
+/// Golden trace hashes for the cells the legacy table above leaves out:
+/// `MultiCastAdv` n=16 (the late-epoch per-slot loop) and the
+/// round-simulated `MultiCast(C)` (`round_len > 1`, whose actions aim at
+/// later sub-slots of a round), including a slot cap that falls mid-round.
+/// Recorded with the same `trace_hash` before the engine executed actions
+/// as they are selected; the fast-forward equivalence suites cannot catch
+/// a change that both engine paths share, these can.
+const SLOT_LOOP_GOLDEN: [(LoopCell, u64); 15] = [
+    (("adv-uniform", 1), 0xef102d960ae57362),
+    (("adv-uniform", 2), 0x0efe7dc3bf64399b),
+    (("adv-uniform", 3), 0x9d4e95aec04ab471),
+    (("adv-burst", 1), 0xe8caffdc30de8b69),
+    (("adv-burst", 2), 0xbd20dc718122fd01),
+    (("adv-burst", 3), 0x3188bae7a2f14c85),
+    (("adv-reactive", 1), 0x0c3b3f45643c85b4),
+    (("adv-reactive", 2), 0x77ac6fc9f83d416b),
+    (("adv-reactive", 3), 0x90225f6a8b3e8ac9),
+    (("multicast-c", 1), 0x4682317a57e1f336),
+    (("multicast-c", 2), 0x08a4698e6178c970),
+    (("multicast-c", 3), 0xc59b7f43a7adee14),
+    (("multicast-c-mid-round-cap", 1), 0xf12fa8eff87f841a),
+    (("multicast-c-mid-round-cap", 2), 0x6c52d6e41abcbb58),
+    (("multicast-c-mid-round-cap", 3), 0xf6d3bfb6a92c81d1),
+];
+
+fn run_loop_cell(cell: &str, seed: u64, obs: &mut RecordingObserver) -> RunOutcome {
+    let adv_seed = derive_seed(seed, 1_000_003);
+    let mut uniform = UniformFraction::new(50_000, 0.9, adv_seed);
+    let mut burst = FullBandBurst::new(200_000, 0);
+    let mut reactive = ReactiveJammer::with_params(50_000, 4, 2, 1);
+    let mut adv = MultiCastAdv::new(16);
+    // 8 channels over 16 virtual ones: rounds of two physical slots.
+    let mut limited = MultiCastC::new(32, 8);
+    // MultiCastAdv n=16 runs for millions of slots before it halts; the
+    // cap keeps the cells cheap in debug builds while still stepping well
+    // into the per-slot loop.
+    let cfg = EngineConfig::capped(250_000);
+    match cell {
+        "adv-uniform" => Simulation::new(&mut adv)
+            .adversary(&mut uniform)
+            .config(cfg)
+            .observer(obs)
+            .run(seed),
+        "adv-burst" => Simulation::new(&mut adv)
+            .adversary(&mut burst)
+            .config(cfg)
+            .observer(obs)
+            .run(seed),
+        "adv-reactive" => Simulation::new(&mut adv)
+            .eve(Eve::Adaptive(&mut reactive))
+            .config(cfg)
+            .observer(obs)
+            .run(seed),
+        "multicast-c" => Simulation::new(&mut limited)
+            .adversary(&mut uniform)
+            .config(cfg)
+            .observer(obs)
+            .run(seed),
+        "multicast-c-mid-round-cap" => {
+            assert!(limited.round_len() > 1);
+            Simulation::new(&mut limited)
+                .adversary(&mut uniform)
+                .config(EngineConfig::capped(40_001))
+                .observer(obs)
+                .run(seed)
+        }
+        other => panic!("unknown slot-loop cell {other}"),
+    }
+}
+
+/// `MultiCastAdv` and `MultiCast(C)` runs reproduce their recorded outcome
+/// and event trace byte for byte.
+#[test]
+fn slot_loop_cells_reproduce_their_goldens() {
+    let mut drift = Vec::new();
+    for ((cell, seed), want) in SLOT_LOOP_GOLDEN {
+        let mut obs = RecordingObserver::new();
+        let out = run_loop_cell(cell, seed, &mut obs);
+        let got = trace_hash(&out, &obs);
+        if got != want {
+            drift.push(format!(
+                "{cell} / seed {seed}: got 0x{got:016x}, want 0x{want:016x}"
+            ));
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "slot-loop trace drift:\n{}",
+        drift.join("\n")
+    );
 }
