@@ -10,10 +10,6 @@
 //! cargo run --release -p rcb-bench --bin repro -- --exp e5 --full
 //! cargo run --release -p rcb-bench --bin repro -- --list
 //! ```
-//!
-//! Criterion benches (`crates/bench/benches/`) additionally measure the
-//! simulator's wall-clock performance on a scaled-down kernel of each
-//! experiment, plus engine/sampler microbenchmarks.
 
 pub mod experiments;
 pub mod scale;

@@ -7,7 +7,8 @@
 //! which feeds per-cell accumulators (`CellAccumulator`) built from
 //! `rcb-stats` streaming moments and quantile sketches. Memory is
 //! `O(cells · sketch)` + a small reorder buffer, independent of the trial
-//! count.
+//! count: the work schedule (`TrialSchedule`) is a replicate range per
+//! cell, not a list of trials.
 //!
 //! ## Determinism
 //!
@@ -446,28 +447,73 @@ impl Progress {
     }
 }
 
-/// The `(start, end)` global-trial blocks still to simulate: up to
-/// `batch_width` remaining same-cell trials per block (size 1 at the
-/// default width — the scalar scheduling). Blocks never cross a cell
-/// boundary, so a block maps to one batched engine call; a resumed
-/// cell's first block starts at its watermark.
-pub(crate) fn trial_blocks(
-    spec: &CampaignSpec,
-    cfg: &CampaignConfig,
-    watermarks: &[u64],
-) -> Vec<(u64, u64)> {
-    let n = cfg.trials_per_cell;
-    let width = cfg.batch_width.clamp(1, 64);
-    spec.cells
-        .iter()
-        .enumerate()
-        .flat_map(|(c, _)| {
-            let base = c as u64 * n;
-            (watermarks[c]..n)
-                .step_by(width as usize)
-                .map(move |t| (base + t, base + (t + width).min(n)))
-        })
-        .collect()
+/// The global-trial blocks still to simulate, described per cell rather
+/// than listed: up to `width` remaining same-cell trials per block (size 1
+/// at the default width — the scalar scheduling). Blocks never cross a
+/// cell boundary, so a block maps to one batched engine call; a resumed
+/// cell's first block starts at its watermark. Memory is `O(cells)`: a
+/// claimed block index maps to its `(start, end)` arithmetically, so the
+/// schedule does not grow with the trial count.
+pub(crate) struct TrialSchedule {
+    trials_per_cell: u64,
+    width: u64,
+    /// Per cell, the first replicate still to simulate.
+    from: Vec<u64>,
+    /// Per cell, the index of its first block; one trailing entry holds
+    /// the total block count.
+    first_block: Vec<u64>,
+}
+
+impl TrialSchedule {
+    /// Schedule replicates `watermarks[c]..trials_per_cell` of every cell
+    /// `c`, in ascending global order.
+    pub(crate) fn new(watermarks: &[u64], trials_per_cell: u64, batch_width: u64) -> Self {
+        let width = batch_width.clamp(1, 64);
+        let mut first_block = Vec::with_capacity(watermarks.len() + 1);
+        let mut blocks = 0;
+        for &w in watermarks {
+            first_block.push(blocks);
+            blocks += (trials_per_cell - w).div_ceil(width);
+        }
+        first_block.push(blocks);
+        Self {
+            trials_per_cell,
+            width,
+            from: watermarks.to_vec(),
+            first_block,
+        }
+    }
+
+    /// How many blocks the schedule holds.
+    pub(crate) fn blocks(&self) -> u64 {
+        *self.first_block.last().expect("a trailing total")
+    }
+
+    /// The `(start, end)` global-trial range of block `bi < blocks()`.
+    pub(crate) fn block(&self, bi: u64) -> (u64, u64) {
+        // The last cell whose first block is at or before `bi`; cells with
+        // no blocks share their successor's first block and are passed over.
+        let c = self.first_block.partition_point(|&f| f <= bi) - 1;
+        let n = self.trials_per_cell;
+        let t = self.from[c] + (bi - self.first_block[c]) * self.width;
+        let base = c as u64 * n;
+        (base + t, base + (t + self.width).min(n))
+    }
+
+    /// Every scheduled global trial index, ascending: the aggregator's
+    /// ingest order.
+    pub(crate) fn trials(&self) -> impl Iterator<Item = u64> + '_ {
+        let n = self.trials_per_cell;
+        self.from
+            .iter()
+            .enumerate()
+            .flat_map(move |(c, &w)| c as u64 * n + w..(c as u64 + 1) * n)
+    }
+
+    /// How many trials the schedule holds.
+    pub(crate) fn trial_count(&self) -> u64 {
+        self.from.iter().map(|&w| self.trials_per_cell - w).sum()
+    }
 }
 
 /// What the per-ingest callback of [`run_trial_blocks`] tells the
@@ -490,13 +536,13 @@ pub(crate) type OnIngest<'a> =
 pub(crate) struct BlocksOutcome {
     /// Trials simulated *and ingested* by this call.
     pub(crate) simulated: u64,
-    /// Whether the callback stopped the run before the block list drained.
+    /// Whether the callback stopped the run before the schedule drained.
     pub(crate) stopped: bool,
 }
 
 /// The campaign engine's inner loop, shared by [`run_campaign_service`]
-/// and the shard worker ([`crate::shard`]): simulate every `(start, end)`
-/// global-trial block across worker threads and ingest the metrics into
+/// and the shard worker ([`crate::shard`]): simulate every block of the
+/// schedule across worker threads and ingest the metrics into
 /// `accs`/`watermarks` **strictly in ascending global-index order** (the
 /// positional-aggregation determinism mechanism — see the module docs).
 ///
@@ -506,21 +552,18 @@ pub(crate) struct BlocksOutcome {
 /// returning [`IngestControl::Stop`] or an error unwinds the worker
 /// threads promptly (their sends fail once the receiver drops).
 ///
-/// Blocks must not cross cell boundaries and must be listed in ascending
-/// start order; `watermarks[c]` is set to `replicate + 1` as each trial of
-/// cell `c` lands.
+/// `watermarks[c]` is set to `replicate + 1` as each trial of cell `c`
+/// lands.
 pub(crate) fn run_trial_blocks(
     spec: &CampaignSpec,
     cfg: &CampaignConfig,
-    blocks: &[(u64, u64)],
+    schedule: &TrialSchedule,
     accs: &mut [CellAccumulator],
     watermarks: &mut [u64],
     on_ingest: &mut OnIngest<'_>,
 ) -> Result<BlocksOutcome, ServiceError> {
     let n = cfg.trials_per_cell;
-    // The exact ingest order: ascending global index over scheduled work.
-    let order: Vec<u64> = blocks.iter().flat_map(|&(s, e)| s..e).collect();
-    let scheduled = order.len() as u64;
+    let scheduled = schedule.trial_count();
 
     let threads = rcb_harness::resolve_threads(cfg.threads)
         .min(scheduled.max(1) as usize)
@@ -540,11 +583,11 @@ pub(crate) fn run_trial_blocks(
             let tx = tx.clone();
             let next = &next;
             scope.spawn(move || loop {
-                let bi = next.fetch_add(1, Ordering::Relaxed) as usize;
-                if bi >= blocks.len() {
+                let bi = next.fetch_add(1, Ordering::Relaxed);
+                if bi >= schedule.blocks() {
                     break;
                 }
-                let (start, end) = blocks[bi];
+                let (start, end) = schedule.block(bi);
                 let ts = trial_spec(spec, cfg, start);
                 if end - start > 1 && batch_supported(&ts) {
                     let seeds: Vec<u64> = (start..end)
@@ -578,18 +621,19 @@ pub(crate) fn run_trial_blocks(
 
         // Aggregate strictly in scheduled (ascending global-index) order.
         let mut heap: BinaryHeap<Pending> = BinaryHeap::new();
-        let mut pos: usize = 0;
+        let mut order = schedule.trials();
+        let mut want = order.next();
         let mut progress = Progress::new(cfg.progress, scheduled.max(1));
         'ingest: for pending in rx.iter() {
             heap.push(pending);
-            while pos < order.len() && heap.peek().is_some_and(|p| p.0 == order[pos]) {
+            while want.is_some_and(|w| heap.peek().is_some_and(|p| p.0 == w)) {
                 let Pending(g, m) = heap.pop().expect("peeked");
                 let c = (g / n) as usize;
                 accs[c].push(&m);
                 watermarks[c] = g % n + 1;
                 simulated += 1;
-                pos += 1;
-                progress.tick(spec, cfg, g, &m, pos as u64, scheduled);
+                want = order.next();
+                progress.tick(spec, cfg, g, &m, simulated, scheduled);
                 match on_ingest(c, watermarks[c], &accs[c], simulated) {
                     Ok(IngestControl::Continue) => {}
                     Ok(IngestControl::Stop) => {
@@ -607,7 +651,7 @@ pub(crate) fn run_trial_blocks(
         // the scope joins promptly on the stop/error paths.
         drop(rx);
         if !stopped && cb_error.is_none() {
-            assert_eq!(pos, order.len(), "aggregator lost trials");
+            assert!(want.is_none(), "aggregator lost trials");
         }
     });
 
@@ -829,7 +873,7 @@ pub fn run_campaign_service(
     // unchanged). Blocks never cross a cell boundary, so a block maps to
     // one batched engine call; a resumed cell's first block starts at its
     // watermark.
-    let blocks = trial_blocks(spec, cfg, &watermarks);
+    let schedule = TrialSchedule::new(&watermarks, n, cfg.batch_width);
 
     // Boundary checkpoint: every `checkpoint_every` trials of the cell's
     // absolute watermark, plus cell completion. The kill hook fires
@@ -862,7 +906,7 @@ pub fn run_campaign_service(
     let outcome = run_trial_blocks(
         spec,
         cfg,
-        &blocks,
+        &schedule,
         &mut accs,
         &mut watermarks,
         &mut on_ingest,
@@ -989,6 +1033,50 @@ mod tests {
                 )
                 .with_max_slots(100_000),
             ],
+        }
+    }
+
+    /// The `(start, end)` block list the engine scheduled from before the
+    /// compact [`TrialSchedule`]: one entry per block.
+    fn trial_blocks(watermarks: &[u64], n: u64, batch_width: u64) -> Vec<(u64, u64)> {
+        let width = batch_width.clamp(1, 64);
+        watermarks
+            .iter()
+            .enumerate()
+            .flat_map(|(c, &w)| {
+                let base = c as u64 * n;
+                (w..n)
+                    .step_by(width as usize)
+                    .map(move |t| (base + t, base + (t + width).min(n)))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn compact_schedule_yields_the_block_list() {
+        let mut rng = rcb_sim::Xoshiro256::seeded(0x5C4E);
+        for case in 0..400 {
+            let n = 1 + rng.gen_range(40);
+            let cells = 1 + rng.gen_range(6) as usize;
+            // Watermarks anywhere in 0..=n, with fresh and finished cells
+            // over-represented.
+            let watermarks: Vec<u64> = (0..cells)
+                .map(|_| match rng.gen_range(4) {
+                    0 => 0,
+                    1 => n,
+                    _ => rng.gen_range(n + 1),
+                })
+                .collect();
+            let width = [0, 1, 2, 3, 7, 8, 64, 100][case % 8];
+            let want = trial_blocks(&watermarks, n, width);
+            let schedule = TrialSchedule::new(&watermarks, n, width);
+            let got: Vec<(u64, u64)> = (0..schedule.blocks())
+                .map(|bi| schedule.block(bi))
+                .collect();
+            assert_eq!(got, want, "n {n}, watermarks {watermarks:?}, width {width}");
+            let order: Vec<u64> = want.iter().flat_map(|&(s, e)| s..e).collect();
+            assert_eq!(schedule.trials().collect::<Vec<_>>(), order);
+            assert_eq!(schedule.trial_count(), order.len() as u64);
         }
     }
 

@@ -49,7 +49,8 @@ use crate::checkpoint::{
     write_checkpoint, CellCheckpoint, ServiceError, FNV_BASIS,
 };
 use crate::engine::{
-    assemble_report, run_trial_blocks, trial_blocks, CampaignConfig, CellAccumulator, IngestControl,
+    assemble_report, run_trial_blocks, CampaignConfig, CellAccumulator, IngestControl,
+    TrialSchedule,
 };
 use crate::json::Json;
 use crate::jsonin;
@@ -1101,14 +1102,14 @@ fn drive_cell(
     }
 
     // Only this cell gets blocks: every other cell's watermark is pinned
-    // to n so trial_blocks schedules nothing for it.
+    // to n so the schedule holds nothing for it.
     let mut accs: Vec<CellAccumulator> = (0..spec.cells.len())
         .map(|_| CellAccumulator::new())
         .collect();
     let mut watermarks: Vec<u64> = vec![n; spec.cells.len()];
     accs[c] = acc;
     watermarks[c] = watermark;
-    let blocks = trial_blocks(spec, &cfg, &watermarks);
+    let schedule = TrialSchedule::new(&watermarks, cfg.trials_per_cell, cfg.batch_width);
 
     let beat_every = Duration::from_millis((plan.stale_after_ms / 4).max(1));
     let lost = AtomicBool::new(false);
@@ -1170,7 +1171,7 @@ fn drive_cell(
         let outcome = run_trial_blocks(
             spec,
             &cfg,
-            &blocks,
+            &schedule,
             &mut accs,
             &mut watermarks,
             &mut on_ingest,

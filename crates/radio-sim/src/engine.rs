@@ -32,7 +32,12 @@
 //!    in round-simulated protocols such as `MultiCast(C)`): the acting
 //!    subset of the active nodes is drawn exactly — each node independently
 //!    lands in coin class 1 w.p. `p1`, class 2 w.p. `p2` — using
-//!    geometric-skip sampling (see [`crate::sampler`]). Each selected node
+//!    geometric-skip sampling (see [`crate::sampler`]). In a segment where
+//!    at least half of the gaps are below 64, the segment's stream answers
+//!    most gap draws from a 4 KiB gap guide instead of `ln`, with exactly
+//!    the gaps and RNG consumption the inversion gives, so the guide moves
+//!    no output bit (the exactness argument is in [`crate::sampler`]).
+//!    Each selected node
 //!    chooses its concrete action and channel, and the action executes as
 //!    soon as it is chosen: the node is charged one unit of energy and
 //!    registered as a listener or broadcaster of the slot. Only a

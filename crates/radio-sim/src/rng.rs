@@ -104,8 +104,18 @@ impl Xoshiro256 {
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
+        Self::unit_f64(self.next_u64())
+    }
+
+    /// The uniform [`next_f64`](Self::next_f64) makes of one raw 64-bit
+    /// word: its top 53 bits scaled by 2⁻⁵³, so `word`'s top 12 bits `b`
+    /// place the result in `[b/4096, (b+1)/4096)`. Lets a caller that
+    /// looks at the raw word first (the sampler's gap guide) fall back to
+    /// exactly the uniform `next_f64` would have returned.
+    #[inline]
+    pub fn unit_f64(word: u64) -> f64 {
         const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
-        (self.next_u64() >> 11) as f64 * SCALE
+        (word >> 11) as f64 * SCALE
     }
 
     /// Uniform integer in `[0, n)`, unbiased (Lemire's method).

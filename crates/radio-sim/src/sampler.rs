@@ -8,6 +8,44 @@
 //! `Geometric(p)`. This produces exactly the same distribution as `m`
 //! independent Bernoulli draws — see `bernoulli_subset_matches_dense` below,
 //! which cross-validates against the dense method — in `O(p·m)` expected time.
+//!
+//! # The gap guide: exact gaps without `ln`
+//!
+//! Each gap is one inversion `⌊ln(1−U)/ln q⌋` with `q = 1 − p`: a libm `ln`
+//! and a divide, the largest single cost of the engine's slot loop. A
+//! [`TwoClassRoundStream`] whose segment makes at least half of its gaps
+//! below 64 (`0 < p < 1` and `q⁶⁴ ≤ ½`) therefore carries a *gap guide*: a
+//! 4096-entry `u8` table indexed by the top 12 bits of the raw draw word.
+//! Bucket `b` holds the draws with `U ∈ [b/4096, (b+1)/4096)`; its entry is
+//! either the gap every draw in the bucket yields, or a sentinel that sends
+//! the draw to the inversion. Either way the draw consumes the same single
+//! word, so RNG consumption and every output are unchanged.
+//!
+//! *Construction.* With `x = 1 − U` (exact in f64), `gap ≥ k ⟺ x ≤ qᵏ`.
+//! Boundary `k` gets the zone `[qᵏ(1 − G), qᵏ(1 + G)]` in `x`, `G = 2⁻³⁰`.
+//! Only `k < 64` with `qᵏ ≥ 2⁻²⁰` are covered. A bucket no zone touches
+//! gets the number of boundaries it lies above; every bucket a zone touches,
+//! and every bucket past the last covered boundary, gets the sentinel. The
+//! `qᵏ` come from repeated multiplication of `exp(ln q)`, and the table is
+//! written in one pass over the covered boundaries, not bucket by bucket.
+//!
+//! *Why an answered draw is exact.* Let `Q = ln x / ln q` be the exact
+//! quotient, so the true gap is `⌊Q⌋`.
+//! - The `qᵏ` products carry about a hundred ulps (`≤ 2⁻⁴⁵` relative) of
+//!   error, and rounding `1 − qᵏ(1 ± G)` to f64 moves a zone edge by at most
+//!   `2⁻⁵³ ≤ G·qᵏ/8` in `U`, because `qᵏ ≥ 2⁻²⁰`. So every draw of an
+//!   answered bucket has `x` outside `[qᵏ(1 − G/2), qᵏ(1 + G/2)]` for every
+//!   covered `k`, and `x > q^K(1 + G/2)` for the last covered `K ≤ 63`.
+//! - Hence `Q < 63`, and `Q` lies at least `ln(1 + G/2)/|ln q| ≥ 1.2·10⁻¹¹`
+//!   from every integer: `p < 1` in f64 gives `|ln q| ≤ 36.8`.
+//! - The computed `fl(fl(ln x)/ln q)` is within `64·3·2⁻⁵³ ≈ 2·10⁻¹⁴` of `Q`
+//!   for any `ln` within 1 ulp, so truncating it gives `⌊Q⌋` — the entry.
+//!   The margin is several hundred times the error it must absorb.
+//!
+//! Draws past the covered boundaries or inside a zone take the inversion
+//! itself, so the guide needs no claim about them. [`geometric_gap`] keeps
+//! the plain inversion for its other callers ([`bernoulli_subset`] and the
+//! adversaries' sojourn jumps).
 
 use crate::rng::Xoshiro256;
 
@@ -140,6 +178,67 @@ fn gap_from_uniform(u: f64, ln_q: f64) -> u64 {
     }
 }
 
+/// Entries of a gap guide: one per value of a draw word's top 12 bits.
+const GUIDE_LEN: usize = 1 << 12;
+/// The guide entry that sends a draw to the exact inversion.
+const GUIDE_MISS: u8 = u8::MAX;
+/// Relative half-width `G` of the zone around each boundary `qᵏ`.
+const GUIDE_BAND: f64 = 1.0 / (1u64 << 30) as f64;
+/// Smallest boundary `qᵏ` the guide covers (`2⁻²⁰`).
+const GUIDE_MIN_BOUNDARY: f64 = 1.0 / (1u64 << 20) as f64;
+
+/// A segment's gap guide: entry `b` answers the draw words whose top 12
+/// bits are `b` (see the module docs for the construction and why it is
+/// exact).
+#[derive(Clone)]
+struct GapGuide(Box<[u8; GUIDE_LEN]>);
+
+impl GapGuide {
+    /// The guide of a segment with `ln_q = ln(1 − p)`, or `None` when fewer
+    /// than half of its gaps are below 64 (`q⁶⁴ > ½`, including `ln_q = 0`).
+    fn new(ln_q: f64) -> Option<Self> {
+        if ln_q * 64.0 > -std::f64::consts::LN_2 {
+            return None;
+        }
+        let q = ln_q.exp();
+        let bucket = |u: f64| (u * GUIDE_LEN as f64) as usize;
+        let mut guide: Vec<u8> = Vec::with_capacity(GUIDE_LEN);
+        // `qk = q^(k+1)`: a draw with 1 − U ≤ qk has gap at least k + 1, so
+        // the buckets up to that boundary's zone get gap k.
+        let mut qk = q;
+        for k in 0..63u8 {
+            if qk < GUIDE_MIN_BOUNDARY {
+                break;
+            }
+            let zone_lo = bucket(1.0 - qk * (1.0 + GUIDE_BAND));
+            let zone_hi = bucket(1.0 - qk * (1.0 - GUIDE_BAND));
+            if zone_lo > guide.len() {
+                guide.resize(zone_lo, k);
+            }
+            guide.resize(guide.len().max(zone_hi + 1), GUIDE_MISS);
+            qk *= q;
+        }
+        guide.resize(GUIDE_LEN, GUIDE_MISS);
+        guide.into_boxed_slice().try_into().ok().map(Self)
+    }
+
+    /// The gap of draw word `word`, or `None` when it must take the
+    /// inversion.
+    #[inline]
+    fn gap(&self, word: u64) -> Option<u64> {
+        let entry = self.0[(word >> 52) as usize];
+        (entry != GUIDE_MISS).then_some(entry as u64)
+    }
+}
+
+/// A summary, not 4096 entries.
+impl std::fmt::Debug for GapGuide {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let answered = self.0.iter().filter(|&&e| e != GUIDE_MISS).count();
+        write!(f, "GapGuide({answered}/{GUIDE_LEN} buckets answered)")
+    }
+}
+
 /// Segment-scoped two-class actor sampling with a geometric skip carried
 /// **across rounds** — the sampling substrate of the engine's idle-round
 /// fast-forward.
@@ -159,6 +258,15 @@ fn gap_from_uniform(u: f64, ln_q: f64) -> u64 {
 ///
 /// Selected actors are thinned into class 1 (probability `p1 / (p1 + p2)`)
 /// or class 2 with one Bernoulli draw each, as in [`sample_two_class`].
+///
+/// When at least half of the segment's gaps are below 64 (`q⁶⁴ ≤ ½` with
+/// `q = 1 − p1 − p2`), the stream builds a 4 KiB *gap guide* on opening
+/// and answers most gap draws from it without `ln`: the top 12 bits of the
+/// draw word pick an entry that is either the gap every draw with those
+/// bits provably yields, or a sentinel that falls back to the inversion of
+/// [`geometric_gap`] on the same word. Every gap, class list and RNG state
+/// is therefore identical to the guide-free stream; the module docs give
+/// the exactness argument.
 #[derive(Clone, Debug)]
 pub struct TwoClassRoundStream {
     m: u64,
@@ -168,6 +276,8 @@ pub struct TwoClassRoundStream {
     p2: f64,
     /// `ln(1 − total)` when `0 < total < 1` (unused otherwise).
     ln_q: f64,
+    /// The segment's gap guide (see the module docs), if it has one.
+    guide: Option<GapGuide>,
     /// Concatenated-process indices still to skip before the next selected
     /// node. `u64::MAX` means "no further selection, ever".
     gap: u64,
@@ -189,33 +299,34 @@ impl TwoClassRoundStream {
             "action probabilities must satisfy p1 + p2 <= 1 (got {p1} + {p2})"
         );
         assert!(m > 0, "a segment needs at least one active node");
-        let ln_q = if total > 0.0 && total < 1.0 {
-            (1.0 - total).ln()
-        } else {
-            0.0
-        };
-        let gap = if total <= 0.0 {
-            u64::MAX
-        } else if total >= 1.0 {
-            0
-        } else {
-            Self::draw_gap(rng, ln_q)
-        };
-        Self {
+        let draws_gaps = total > 0.0 && total < 1.0;
+        let ln_q = if draws_gaps { (1.0 - total).ln() } else { 0.0 };
+        let mut stream = Self {
             m: m as u64,
             total,
             frac1: if total > 0.0 { p1 / total } else { 0.0 },
             p1,
             p2,
             ln_q,
-            gap,
+            guide: GapGuide::new(ln_q),
+            gap: if total <= 0.0 { u64::MAX } else { 0 },
+        };
+        if draws_gaps {
+            stream.gap = stream.draw_gap(rng);
         }
+        stream
     }
 
-    /// One geometric gap draw from the segment's cached `ln(1 − p)`.
+    /// One geometric gap draw from the segment's cached `ln(1 − p)`: one
+    /// word, answered by the guide when it can, otherwise inverted exactly
+    /// as [`geometric_gap`] would invert it.
     #[inline]
-    fn draw_gap(rng: &mut Xoshiro256, ln_q: f64) -> u64 {
-        geometric_gap(rng, ln_q)
+    fn draw_gap(&self, rng: &mut Xoshiro256) -> u64 {
+        let word = rng.next_u64();
+        if let Some(gap) = self.guide.as_ref().and_then(|g| g.gap(word)) {
+            return gap;
+        }
+        gap_from_uniform(Xoshiro256::unit_f64(word), self.ln_q)
     }
 
     /// Number of whole rounds, starting at the current round, that are
@@ -261,7 +372,7 @@ impl TwoClassRoundStream {
         while self.gap < self.m {
             let idx = self.gap as u32;
             self.classify(rng, idx, class1, class2);
-            let g = Self::draw_gap(rng, self.ln_q);
+            let g = self.draw_gap(rng);
             self.gap = (self.gap + 1).saturating_add(g);
         }
         if self.gap != u64::MAX {
@@ -673,5 +784,248 @@ mod tests {
         sample_two_class(&mut rng, 1000, 0.0, 0.3, &mut c1, &mut c2, &mut scratch);
         assert!(c1.is_empty());
         assert!(!c2.is_empty());
+    }
+
+    /// Totals over which the guide is checked: just past the coverage rule
+    /// (`q⁶⁴` just below ½), a 1/64-scale segment, the middle of the range,
+    /// and the largest totals, where it covers one boundary or none.
+    fn guide_ladder() -> [f64; 7] {
+        let coverage_edge = 1.0 - 0.5f64.powf(1.0 / 64.0);
+        [
+            coverage_edge * (1.0 + 1e-9),
+            1.0 / 64.0,
+            0.3,
+            0.5,
+            0.87,
+            0.999999,
+            1.0 - f64::EPSILON,
+        ]
+    }
+
+    /// The inversion's gap of one raw draw word.
+    fn inverted(word: u64, ln_q: f64) -> u64 {
+        gap_from_uniform(Xoshiro256::unit_f64(word), ln_q)
+    }
+
+    /// The inversion is monotone in the draw word, so a bucket whose first
+    /// and last word both invert to its entry inverts to it throughout.
+    #[test]
+    fn guide_entries_match_the_inversion_at_both_bucket_edges() {
+        for p in guide_ladder() {
+            let ln_q = (1.0 - p).ln();
+            let guide = GapGuide::new(ln_q).expect("every ladder total builds a guide");
+            let mut answered = 0;
+            for b in 0..GUIDE_LEN as u64 {
+                let first = b << 52;
+                let last = first | ((1 << 52) - 1);
+                let entry = guide.gap(first);
+                assert_eq!(entry, guide.gap(last), "p = {p}, bucket {b}");
+                if let Some(gap) = entry {
+                    answered += 1;
+                    assert_eq!(gap, inverted(first, ln_q), "p = {p}, bucket {b}, first");
+                    assert_eq!(gap, inverted(last, ln_q), "p = {p}, bucket {b}, last");
+                }
+            }
+            // Not vacuous: only the last rung, whose first boundary lies
+            // below 2⁻²⁰, answers nothing.
+            if p < 0.9999999 {
+                assert!(answered * 5 > GUIDE_LEN * 2, "p = {p}: {answered} answered");
+            } else {
+                assert_eq!(answered, 0, "p = {p}");
+            }
+        }
+    }
+
+    /// No answered bucket contains a boundary `U = 1 − qᵏ`, covered or not
+    /// (boundaries computed independently, as `exp(k·ln q)`).
+    #[test]
+    fn guide_never_answers_a_bucket_holding_a_boundary() {
+        for p in guide_ladder() {
+            let ln_q = (1.0 - p).ln();
+            let guide = GapGuide::new(ln_q).expect("every ladder total builds a guide");
+            for k in 1..=4096 {
+                let qk = (k as f64 * ln_q).exp();
+                if qk < f64::EPSILON {
+                    break;
+                }
+                let b = ((1.0 - qk) * GUIDE_LEN as f64) as usize;
+                assert_eq!(
+                    guide.0[b], GUIDE_MISS,
+                    "p = {p}, boundary {k} in bucket {b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn guide_is_built_only_when_half_the_gaps_are_below_64() {
+        let coverage_edge = 1.0 - 0.5f64.powf(1.0 / 64.0);
+        assert!(GapGuide::new((1.0 - coverage_edge * (1.0 - 1e-9)).ln()).is_none());
+        assert!(GapGuide::new((1.0 - coverage_edge * (1.0 + 1e-9)).ln()).is_some());
+        assert!(GapGuide::new((1.0 - 1e-3f64).ln()).is_none());
+        assert!(GapGuide::new(0.0).is_none());
+    }
+
+    /// Random words against random guided totals, log-uniform in `|ln q|`
+    /// from the coverage edge to the largest total below 1.
+    #[test]
+    fn guide_matches_the_inversion_on_random_draws() {
+        let mut params = Xoshiro256::seeded(0x61DE);
+        let mut words = Xoshiro256::seeded(0x61DF);
+        let (lo, hi) = (std::f64::consts::LN_2 / 64.0, -f64::EPSILON.ln());
+        let mut answered = 0u64;
+        for _ in 0..200 {
+            let t = lo * (hi / lo).powf(params.next_f64());
+            let ln_q = (1.0 - (1.0 - (-t).exp())).ln();
+            let Some(guide) = GapGuide::new(ln_q) else {
+                continue;
+            };
+            for _ in 0..2_000 {
+                let word = words.next_u64();
+                if let Some(gap) = guide.gap(word) {
+                    answered += 1;
+                    assert_eq!(gap, inverted(word, ln_q), "ln_q = {ln_q}, word = {word:#x}");
+                }
+            }
+        }
+        assert!(answered > 200_000, "{answered} draws answered");
+    }
+
+    /// `TwoClassRoundStream` as it was before the gap guide: every gap is a
+    /// [`geometric_gap`] inversion.
+    struct InversionStream {
+        m: u64,
+        total: f64,
+        frac1: f64,
+        p1: f64,
+        p2: f64,
+        ln_q: f64,
+        gap: u64,
+    }
+
+    impl InversionStream {
+        fn new(rng: &mut Xoshiro256, m: usize, p1: f64, p2: f64) -> Self {
+            let total = p1 + p2;
+            let ln_q = if total > 0.0 && total < 1.0 {
+                (1.0 - total).ln()
+            } else {
+                0.0
+            };
+            let gap = if total <= 0.0 {
+                u64::MAX
+            } else if total >= 1.0 {
+                0
+            } else {
+                geometric_gap(rng, ln_q)
+            };
+            Self {
+                m: m as u64,
+                total,
+                frac1: if total > 0.0 { p1 / total } else { 0.0 },
+                p1,
+                p2,
+                ln_q,
+                gap,
+            }
+        }
+
+        fn empty_rounds_ahead(&self) -> u64 {
+            if self.gap < self.m {
+                0
+            } else if self.gap == u64::MAX {
+                u64::MAX
+            } else {
+                self.gap / self.m
+            }
+        }
+
+        fn skip_rounds(&mut self, k: u64) {
+            if self.gap != u64::MAX {
+                self.gap -= k * self.m;
+            }
+        }
+
+        fn next_round(&mut self, rng: &mut Xoshiro256, c1: &mut Vec<u32>, c2: &mut Vec<u32>) {
+            let mut classify = |rng: &mut Xoshiro256, idx: u32| {
+                let first = if self.p2 <= 0.0 {
+                    true
+                } else if self.p1 <= 0.0 {
+                    false
+                } else {
+                    rng.gen_bool(self.frac1)
+                };
+                if first { &mut *c1 } else { &mut *c2 }.push(idx);
+            };
+            if self.total >= 1.0 {
+                for idx in 0..self.m as u32 {
+                    classify(rng, idx);
+                }
+                return;
+            }
+            while self.gap < self.m {
+                classify(rng, self.gap as u32);
+                let g = geometric_gap(rng, self.ln_q);
+                self.gap = (self.gap + 1).saturating_add(g);
+            }
+            if self.gap != u64::MAX {
+                self.gap -= self.m;
+            }
+        }
+    }
+
+    /// Round by round, the guided stream selects the same classes, reports
+    /// the same empty rounds and consumes the same draws as the inversion
+    /// stream, over random segments including one-class and degenerate ones.
+    #[test]
+    fn round_stream_equals_the_inversion_stream() {
+        let mut params = Xoshiro256::seeded(0x57E4);
+        let (lo, hi) = (1e-4f64, -f64::EPSILON.ln());
+        let (mut c1, mut c2, mut r1, mut r2) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for case in 0..1_500u64 {
+            let m = 1 + params.gen_range(200) as usize;
+            let total = match case % 8 {
+                0 => 0.0,
+                1 => 1.0,
+                2 => params.next_f64() * 0.01,
+                _ => 1.0 - (-(lo * (hi / lo).powf(params.next_f64()))).exp(),
+            };
+            let (p1, p2) = match params.gen_range(4) {
+                0 => (total, 0.0),
+                1 => (0.0, total),
+                _ => {
+                    let split = params.next_f64();
+                    (total * split, total * (1.0 - split))
+                }
+            };
+            let mut rng = Xoshiro256::seeded(case);
+            let mut reference_rng = rng.clone();
+            let mut stream = TwoClassRoundStream::new(&mut rng, m, p1, p2);
+            let mut reference = InversionStream::new(&mut reference_rng, m, p1, p2);
+            for round in 0..30 {
+                let ahead = stream.empty_rounds_ahead();
+                assert_eq!(
+                    ahead,
+                    reference.empty_rounds_ahead(),
+                    "case {case}, round {round}"
+                );
+                if ahead > 0 && ahead != u64::MAX {
+                    let k = 1 + params.gen_range(ahead.min(1 << 20));
+                    stream.skip_rounds(k);
+                    reference.skip_rounds(k);
+                }
+                c1.clear();
+                c2.clear();
+                r1.clear();
+                r2.clear();
+                stream.next_round(&mut rng, &mut c1, &mut c2);
+                reference.next_round(&mut reference_rng, &mut r1, &mut r2);
+                assert_eq!((&c1, &c2), (&r1, &r2), "case {case}, round {round}");
+                assert_eq!(
+                    rng.draws(),
+                    reference_rng.draws(),
+                    "case {case}, round {round}"
+                );
+            }
+        }
     }
 }
