@@ -188,7 +188,6 @@ pub(crate) fn campaign(
             max_slots: None,
             progress: false,
             telemetry: false,
-            batch_width: 1,
         },
     )
     .cells

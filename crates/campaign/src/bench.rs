@@ -24,7 +24,7 @@
 use crate::json::Json;
 use crate::report::{code_version, CellPerf};
 use crate::scenario::Scenario;
-use rcb_harness::{batch_supported, run_trial_batch, run_trial_telemetry, TrialOptions, TrialSpec};
+use rcb_harness::{run_trial_telemetry, TrialOptions, TrialSpec};
 use rcb_sim::{derive_seed, EngineConfig, EngineTelemetry};
 use rcb_stats::Table;
 use std::time::Instant;
@@ -46,14 +46,14 @@ use std::time::Instant;
 ///   `ref_repeats` (timing-class: how many passes the wall-clock floor
 ///   required — tiny cells repeat until [`BenchConfig::min_wall_s`] of work
 ///   is measured, so `speedup` is no longer dominated by sub-millisecond
-///   noise), `perf.ff_gated_segments`, and — on cells the batch lane
-///   supports — `batch_width`, `batch_slots_total`, `lane_occupancy`
-///   (deterministic) plus `batch_wall_s`, `batch_slots_per_sec`,
-///   `batch_speedup`, `batch_vs_reference` (timing-class). Every timing
-///   leaf is the *minimum* over the floor's passes, after one untimed
-///   warm-up pass — noise on a deterministic workload is strictly
-///   additive, so the minimum is the stable estimator.
-pub const BENCH_SCHEMA_VERSION: u64 = 5;
+///   noise), `perf.ff_gated_segments`, and a per-cell `batch` block timing
+///   the trial-batched lane. Every timing leaf is the *minimum* over the
+///   floor's passes, after one untimed warm-up pass — noise on a
+///   deterministic workload is strictly additive, so the minimum is the
+///   stable estimator.
+/// * **6** — the `batch` block is gone with the trial-batched lane; every
+///   other leaf is unchanged from v5.
+pub const BENCH_SCHEMA_VERSION: u64 = 6;
 
 /// How a bench run executes.
 #[derive(Clone, Debug)]
@@ -72,10 +72,6 @@ pub struct BenchConfig {
     /// committed `speedup` leaves of microsecond-scale cells are stable
     /// run-to-run instead of timing-noise lotteries.
     pub min_wall_s: f64,
-    /// Also time the trial-batched (SoA lockstep) engine on cells it
-    /// supports, batching this many lanes (clamped to 1..=64). 0 disables
-    /// the batch columns.
-    pub batch_width: u64,
     /// Print progress lines to stderr.
     pub progress: bool,
 }
@@ -88,7 +84,6 @@ impl Default for BenchConfig {
             max_slots: None,
             reference: true,
             min_wall_s: 0.2,
-            batch_width: 8,
             progress: false,
         }
     }
@@ -138,9 +133,6 @@ pub struct CellBench {
     /// defined as, `slots_per_sec / ref_slots_per_sec`, whose two minima
     /// sample different moments.
     pub speedup: Option<f64>,
-    /// Batch-lane columns, on cells the batch engine supports (single-hop,
-    /// unscheduled, single-message) when [`BenchConfig::batch_width`] > 0.
-    pub batch: Option<BatchBench>,
     /// Engine telemetry merged over the fast-engine trials (schema v3).
     /// Counter leaves are deterministic; the wall leaves repeat the cell's
     /// measured `wall_s` / `slots_per_sec` (phase leaves stay zero — bench
@@ -149,52 +141,6 @@ pub struct CellBench {
     /// World-schedule event list (`"crash@64"`) for scheduled cells; `None`
     /// — and absent from the JSON — otherwise (schema v4).
     pub schedule: Option<String>,
-}
-
-/// Batch-lane measurement of one cell (schema v5): `batch_width` lanes of
-/// the cell's deterministic trial-seed sequence executed in lockstep by the
-/// SoA batch engine, timed under the same wall-clock floor as the scalar
-/// engines.
-#[derive(Clone, Debug)]
-pub struct BatchBench {
-    /// Lanes batched (deterministic; clamped to 1..=64).
-    pub batch_width: u64,
-    /// Slots covered across all lanes in one batched pass (deterministic).
-    pub batch_slots_total: u64,
-    /// Mean over lanes of `lane slots / longest lane's slots`: 1.0 when
-    /// every lane runs the full lockstep walk, lower when lanes finish
-    /// early and leave the walk under-occupied (deterministic).
-    pub lane_occupancy: f64,
-    /// Timing passes the wall-clock floor required (host-dependent).
-    pub batch_repeats: u64,
-    pub batch_wall_s: f64,
-    pub batch_slots_per_sec: f64,
-    /// `batch_slots_per_sec / slots_per_sec` — the batch lane against the
-    /// scalar fast engine on the same cell (host-dependent).
-    pub batch_speedup: f64,
-    /// `batch_slots_per_sec / ref_slots_per_sec` — batch execution against
-    /// the slot-by-slot reference, i.e. the compound win of idle
-    /// fast-forward plus lane amortization (host-dependent; `None` under
-    /// `--no-reference`).
-    pub batch_vs_reference: Option<f64>,
-}
-
-impl BatchBench {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("batch_width", Json::from(self.batch_width)),
-            ("batch_slots_total", self.batch_slots_total.into()),
-            ("lane_occupancy", self.lane_occupancy.into()),
-            ("batch_repeats", self.batch_repeats.into()),
-            ("batch_wall_s", self.batch_wall_s.into()),
-            ("batch_slots_per_sec", self.batch_slots_per_sec.into()),
-            ("batch_speedup", ratio_json(self.batch_speedup)),
-        ];
-        if let Some(v) = self.batch_vs_reference {
-            fields.push(("batch_vs_reference", ratio_json(v)));
-        }
-        Json::obj(fields)
-    }
 }
 
 /// Serialize a throughput *ratio* at measurement resolution. Pass-to-pass
@@ -230,9 +176,6 @@ impl CellBench {
             fields.push(("ref_wall_s", w.into()));
             fields.push(("ref_slots_per_sec", r.into()));
             fields.push(("speedup", ratio_json(s)));
-        }
-        if let Some(batch) = &self.batch {
-            fields.push(("batch", batch.to_json()));
         }
         fields.push(("perf", self.perf.to_json()));
         if let Some(sched) = &self.schedule {
@@ -308,7 +251,6 @@ impl BenchReport {
             "Mslots/s",
             "ref Mslots/s",
             "speedup",
-            "batch",
         ]);
         for s in &self.scenarios {
             for c in &s.cells {
@@ -327,10 +269,6 @@ impl BenchReport {
                         .unwrap_or_else(|| "-".into()),
                     c.speedup
                         .map(|s| format!("{s:.1}x"))
-                        .unwrap_or_else(|| "-".into()),
-                    c.batch
-                        .as_ref()
-                        .map(|b| format!("{:.1}x", b.batch_speedup))
                         .unwrap_or_else(|| "-".into()),
                 ]);
             }
@@ -368,29 +306,6 @@ pub(crate) fn bench_trial_seed(bench_seed: u64, scenario_name: &str, ci: usize, 
 /// Upper bound on wall-clock floor repeats, so a pathological floor cannot
 /// spin a cell forever.
 const MAX_FLOOR_REPEATS: u64 = 100_000;
-
-/// Repeat `pass` (one timed pass over a cell's trials, returning its wall
-/// seconds) until at least `min_wall_s` of work has been measured; returns
-/// `(minimum wall seconds over the passes, passes run)`. Timing noise on an
-/// otherwise-deterministic workload is strictly additive (scheduler
-/// preemption, cache pollution from neighbors), so the minimum — not the
-/// mean — is the stable estimator: means let one preempted pass drag a
-/// cell's `speedup` leaf below 1 run-to-run. The repeats are timing-only:
-/// every pass recomputes the same deterministic run, so the deterministic
-/// artifact leaves are unaffected by how many passes the floor needed.
-fn time_floor(min_wall_s: f64, mut pass: impl FnMut() -> f64) -> (f64, u64) {
-    let first = pass();
-    let mut total = first;
-    let mut best = first;
-    let mut repeats = 1u64;
-    while total < min_wall_s && repeats < MAX_FLOOR_REPEATS {
-        let wall = pass();
-        total += wall;
-        best = best.min(wall);
-        repeats += 1;
-    }
-    (best, repeats)
-}
 
 /// Minimum timed passes per engine, even when a single pass already meets
 /// the wall-clock floor: a one-sample speedup estimate on a multi-second
@@ -487,51 +402,6 @@ fn time_cell_pair(
     (f, tel, r.zip(speedup))
 }
 
-/// Time the trial-batched lane on one cell: `width` lanes of the cell's
-/// deterministic seed sequence run in lockstep, under the same wall-clock
-/// floor as the scalar engines. Returns `None` on cells outside the batch
-/// lane's scope.
-fn time_batch(
-    spec: &TrialSpec,
-    scenario_name: &str,
-    ci: usize,
-    cfg: &BenchConfig,
-    engine: &EngineConfig,
-    scalar_slots_per_sec: f64,
-    ref_slots_per_sec: Option<f64>,
-) -> Option<BatchBench> {
-    if cfg.batch_width == 0 || !batch_supported(spec) {
-        return None;
-    }
-    let width = cfg.batch_width.clamp(1, 64);
-    let seeds: Vec<u64> = (0..width)
-        .map(|lane| bench_trial_seed(cfg.seed, scenario_name, ci, lane))
-        .collect();
-    let one_pass = || -> (Vec<u64>, f64) {
-        let start = Instant::now();
-        let results = run_trial_batch(spec, &seeds, *engine);
-        let lane_slots = results.iter().map(|(r, _)| r.slots).collect();
-        (lane_slots, start.elapsed().as_secs_f64())
-    };
-    let (lane_slots, _warmup_wall) = one_pass();
-    let (batch_wall_s, batch_repeats) = time_floor(cfg.min_wall_s, || one_pass().1);
-    let batch_slots_total: u64 = lane_slots.iter().sum();
-    let longest = lane_slots.iter().copied().max().unwrap_or(0).max(1);
-    let lane_occupancy =
-        batch_slots_total as f64 / (longest as f64 * lane_slots.len().max(1) as f64);
-    let batch_slots_per_sec = batch_slots_total as f64 / batch_wall_s.max(1e-9);
-    Some(BatchBench {
-        batch_width: width,
-        batch_slots_total,
-        lane_occupancy,
-        batch_repeats,
-        batch_wall_s,
-        batch_slots_per_sec,
-        batch_speedup: batch_slots_per_sec / scalar_slots_per_sec.max(1e-9),
-        batch_vs_reference: ref_slots_per_sec.map(|r| batch_slots_per_sec / r.max(1e-9)),
-    })
-}
-
 /// Run the bench over the given catalog entries.
 ///
 /// # Panics
@@ -585,15 +455,6 @@ pub fn run_bench(scenarios: &[Scenario], cfg: &BenchConfig) -> BenchReport {
                     *s
                 }
             });
-            let batch = time_batch(
-                &specs[0],
-                &spec.name,
-                ci,
-                cfg,
-                &fast,
-                slots_per_sec,
-                ref_slots_per_sec,
-            );
             if cfg.progress {
                 eprintln!(
                     "[rcb bench] {} cell {}/{}: {:.1}M slots/s{}",
@@ -621,7 +482,6 @@ pub fn run_bench(scenarios: &[Scenario], cfg: &BenchConfig) -> BenchReport {
                 ref_wall_s: ref_wall,
                 ref_slots_per_sec,
                 speedup,
-                batch,
                 perf: CellPerf::from_telemetry(&tel, wall_s),
                 schedule: (!cell.schedule.is_empty()).then(|| cell.schedule.detail()),
             });
@@ -732,7 +592,7 @@ mod tests {
     #[test]
     fn bench_artifact_parses_and_has_schema_markers() {
         let json = tiny_bench().to_json();
-        assert!(json.starts_with("{\n  \"schema_version\": 5,"));
+        assert!(json.starts_with("{\n  \"schema_version\": 6,"));
         assert!(json.contains("\"kind\": \"rcb-bench-report\""));
         // epidemic-race is unscheduled: no cell may grow the schedule leaf.
         assert!(!json.contains("\"schedule\""));
@@ -740,9 +600,8 @@ mod tests {
         assert!(json.contains("\"topology\": \"complete\""));
         assert!(json.contains("\"slots_per_sec\""));
         assert!(json.contains("\"speedup\""));
-        assert!(json.contains("\"batch\""));
-        assert!(json.contains("\"batch_width\""));
-        assert!(json.contains("\"lane_occupancy\""));
+        // The trial-batched lane and its block are gone (schema v6).
+        assert!(!json.contains("\"batch\""));
         assert!(json.contains("\"perf\""));
         assert!(json.contains("\"span_len_hist\""));
         let parsed = crate::jsonin::parse(&json).expect("bench artifact parses");
@@ -750,39 +609,6 @@ mod tests {
             panic!("not an object")
         };
         assert!(fields.iter().any(|(k, _)| k == "scenarios"));
-    }
-
-    #[test]
-    fn batch_columns_cover_single_hop_cells() {
-        let report = tiny_bench();
-        for c in &report.scenarios[0].cells {
-            let b = c.batch.as_ref().expect("epidemic-race cells are batchable");
-            assert!((1..=64).contains(&b.batch_width), "{b:?}");
-            assert!(b.batch_slots_total > 0, "{b:?}");
-            assert!(
-                b.lane_occupancy > 0.0 && b.lane_occupancy <= 1.0 + 1e-12,
-                "{b:?}"
-            );
-            assert!(b.batch_slots_per_sec > 0.0, "{b:?}");
-            assert!(b.batch_repeats >= 1, "{b:?}");
-        }
-    }
-
-    /// Batch measurement is deterministic where it claims to be: the
-    /// deterministic batch leaves must agree across two bench runs.
-    #[test]
-    fn batch_deterministic_leaves_are_stable() {
-        let leaves = |_: ()| -> Vec<(u64, u64)> {
-            tiny_bench().scenarios[0]
-                .cells
-                .iter()
-                .map(|c| {
-                    let b = c.batch.as_ref().expect("batchable");
-                    (b.batch_width, b.batch_slots_total)
-                })
-                .collect()
-        };
-        assert_eq!(leaves(()), leaves(()));
     }
 
     #[test]

@@ -4,17 +4,17 @@
 //! rcb list                                  # the scenario catalog
 //! rcb describe <scenario>                   # cells of one scenario
 //! rcb run <scenario> [--trials N] [--seed S] [--threads K]
-//!                    [--max-slots M] [--batch-width W] [--out FILE]
-//!                    [--perf] [--trace-out FILE] [--quiet]
+//!                    [--max-slots M] [--out FILE] [--perf]
+//!                    [--trace-out FILE] [--quiet]
 //!                    [--state-dir DIR] [--resume] [--checkpoint-every K]
 //!                    [--store DIR] [--max-trials-then-exit N]
 //! rcb run --spec <file.toml|file.json> [same flags]
 //! rcb bench [scenario ...] [--quick] [--trials N] [--seed S]
-//!           [--max-slots M] [--no-reference] [--batch-width W]
-//!           [--min-wall S] [--out FILE] [--quiet]
+//!           [--max-slots M] [--no-reference] [--min-wall S]
+//!           [--out FILE] [--quiet]
 //! rcb profile <scenario> <cell> [--trials N] [--seed S] [--max-slots M]
 //! rcb shard plan <scenario> --state-dir DIR [--trials N] [--seed S]
-//!               [--batch-width W] [--max-slots M] [--checkpoint-every K]
+//!               [--max-slots M] [--checkpoint-every K]
 //!               [--stale-after-ms MS] [--store DIR]
 //! rcb shard work --state-dir DIR [--worker-id ID] [--threads K]
 //!               [--max-trials-then-exit N] [--poll-ms MS]
@@ -55,7 +55,7 @@
 //! files (stealing stale leases from dead workers), `status` shows the
 //! fleet, and `merge` folds the per-cell checkpoints into an artifact
 //! **byte-identical** to a single-process `rcb run` — at any worker
-//! count, kill pattern, or batch width. See `docs/CAMPAIGN_SERVICE.md`.
+//! count or kill pattern. See `docs/CAMPAIGN_SERVICE.md`.
 //!
 //! `bench` measures single-threaded engine throughput (slots/sec, wall
 //! time, fast-forward speedup) per catalog cell; `profile` breaks one
@@ -81,15 +81,15 @@ use std::time::Instant;
 fn usage() -> ! {
     eprintln!(
         "usage:\n  rcb list\n  rcb describe <scenario>\n  rcb run <scenario> \
-         [--trials N] [--seed S] [--threads K] [--max-slots M] [--batch-width W] \
+         [--trials N] [--seed S] [--threads K] [--max-slots M] \
          [--out FILE] [--perf] [--trace-out FILE] [--quiet]\n               \
          [--state-dir DIR] [--resume] [--checkpoint-every K] [--store DIR] \
          [--max-trials-then-exit N]\n  \
          rcb run --spec <file.toml|file.json> [same flags as above]\n  \
          rcb bench [scenario ...] [--quick] [--trials N] [--seed S] [--max-slots M] \
-         [--no-reference] [--batch-width W] [--min-wall S] [--out FILE] [--quiet]\n  \
+         [--no-reference] [--min-wall S] [--out FILE] [--quiet]\n  \
          rcb profile <scenario> <cell> [--trials N] [--seed S] [--max-slots M]\n  \
-         rcb shard plan <scenario> --state-dir DIR [--trials N] [--seed S] [--batch-width W] \
+         rcb shard plan <scenario> --state-dir DIR [--trials N] [--seed S] \
          [--max-slots M] [--checkpoint-every K] [--stale-after-ms MS] [--store DIR]\n  \
          rcb shard work --state-dir DIR [--worker-id ID] [--threads K] \
          [--max-trials-then-exit N] [--poll-ms MS]\n  \
@@ -179,7 +179,6 @@ fn cmd_run(rest: &[String]) {
             "--seed" => cfg.seed = parse(arg, it.next()),
             "--threads" => cfg.threads = parse(arg, it.next()),
             "--max-slots" => cfg.max_slots = Some(parse(arg, it.next())),
-            "--batch-width" => cfg.batch_width = parse(arg, it.next()),
             "--out" => out_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
             "--trace-out" => trace_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
             "--perf" => cfg.telemetry = true,
@@ -365,7 +364,6 @@ fn cmd_bench(rest: &[String]) {
             "--seed" => cfg.seed = parse(arg, it.next()),
             "--max-slots" => explicit_max_slots = Some(parse(arg, it.next())),
             "--no-reference" => cfg.reference = false,
-            "--batch-width" => cfg.batch_width = parse(arg, it.next()),
             "--min-wall" => cfg.min_wall_s = parse(arg, it.next()),
             "--out" => out_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
             "--quiet" => cfg.progress = false,
@@ -490,7 +488,6 @@ fn cmd_shard(rest: &[String]) {
             }
             "--trials" => cfg.trials_per_cell = parse(arg, it.next()),
             "--seed" => cfg.seed = parse(arg, it.next()),
-            "--batch-width" => cfg.batch_width = parse(arg, it.next()),
             "--max-slots" => cfg.max_slots = Some(parse(arg, it.next())),
             "--checkpoint-every" => plan_opts.checkpoint_every = parse(arg, it.next()),
             "--stale-after-ms" => plan_opts.stale_after_ms = parse(arg, it.next()),
@@ -528,7 +525,7 @@ fn cmd_shard(rest: &[String]) {
             let spec = (s.build)();
             let plan = write_plan(&spec, &cfg, &state_dir, &plan_opts).unwrap_or_else(|e| fail(e));
             println!(
-                "plan {} in {}: campaign {} ({} cells x {} trials), seed {}, batch width {}, \
+                "plan {} in {}: campaign {} ({} cells x {} trials), seed {}, \
                  checkpoint every {}, stale after {} ms{}",
                 plan.plan_id,
                 state_dir.display(),
@@ -536,7 +533,6 @@ fn cmd_shard(rest: &[String]) {
                 plan.cells(),
                 plan.trials_per_cell,
                 plan.seed,
-                plan.batch_width,
                 plan.checkpoint_every,
                 plan.stale_after_ms,
                 plan.store_dir

@@ -32,11 +32,6 @@ pub const DEFAULT_IGNORES: &[&str] = &[
     "speedup",
     "repeats",
     "ref_repeats",
-    "batch_repeats",
-    "batch_wall_s",
-    "batch_slots_per_sec",
-    "batch_speedup",
-    "batch_vs_reference",
     "setup_s",
     "slot_loop_s",
     "fast_forward_s",

@@ -37,7 +37,7 @@
 //! over verbatim: a resumed cell restores its accumulator bit-exactly from
 //! the checkpoint and re-runs only replicates `watermark..trials`, whose
 //! seeds are the same as in an uninterrupted run — so the final artifact is
-//! byte-identical at any kill point, thread count, and batch width
+//! byte-identical at any kill point and thread count
 //! (`tests/resume_equivalence.rs` pins this).
 
 use crate::checkpoint::{load_checkpoint, write_checkpoint, CellCheckpoint, ServiceError};
@@ -47,10 +47,7 @@ use crate::report::{
 use crate::scenario::{CampaignSpec, CellSpec};
 use crate::store::{checkpoint_key, Store};
 use crate::tracefile::{TraceWriter, TrialTraceObserver};
-use rcb_harness::{
-    batch_supported, cell_trial_seed, run_trial_batch, run_trial_telemetry, TrialOptions,
-    TrialResult, TrialSpec,
-};
+use rcb_harness::{cell_trial_seed, run_trial_telemetry, TrialOptions, TrialResult, TrialSpec};
 use rcb_sim::{EngineConfig, EngineTelemetry, ScheduleMarker};
 use rcb_stats::{QuantileSketch, StreamingMoments};
 use std::collections::BinaryHeap;
@@ -80,16 +77,6 @@ pub struct CampaignConfig {
     /// across hosts and repeats; the deterministic perf *counters* are
     /// always collected regardless of this flag.
     pub telemetry: bool,
-    /// Trials per lockstep batch (clamped to 1..=64). At 1 — the default —
-    /// every trial runs the scalar engine, exactly as before. Above 1,
-    /// workers claim blocks of up to this many same-cell trials and run
-    /// them through the trial-batched lane ([`rcb_sim::BatchSimulation`])
-    /// where the cell's spec supports it (single-hop, unscheduled,
-    /// single-message), falling back to scalar trials otherwise. Lanes
-    /// replicate per-trial scalar semantics (`tests/batch_equivalence.rs`
-    /// pins the artifact against the scalar engine's), so this is a
-    /// throughput knob, not a statistics knob.
-    pub batch_width: u64,
 }
 
 impl Default for CampaignConfig {
@@ -101,7 +88,6 @@ impl Default for CampaignConfig {
             max_slots: None,
             progress: false,
             telemetry: false,
-            batch_width: 1,
         }
     }
 }
@@ -447,76 +433,54 @@ impl Progress {
     }
 }
 
-/// The global-trial blocks still to simulate, described per cell rather
-/// than listed: up to `width` remaining same-cell trials per block (size 1
-/// at the default width — the scalar scheduling). Blocks never cross a
-/// cell boundary, so a block maps to one batched engine call; a resumed
-/// cell's first block starts at its watermark. Memory is `O(cells)`: a
-/// claimed block index maps to its `(start, end)` arithmetically, so the
-/// schedule does not grow with the trial count.
+/// The global trials still to simulate, described per cell rather than
+/// listed: replicates `watermarks[c]..trials_per_cell` of every cell `c`,
+/// so a resumed cell starts at its watermark. Memory is `O(cells)`: a
+/// claim index maps to its global trial arithmetically, so the schedule
+/// does not grow with the trial count.
 pub(crate) struct TrialSchedule {
     trials_per_cell: u64,
-    width: u64,
     /// Per cell, the first replicate still to simulate.
     from: Vec<u64>,
-    /// Per cell, the index of its first block; one trailing entry holds
-    /// the total block count.
-    first_block: Vec<u64>,
+    /// Per cell, the claim index of its first scheduled trial; one
+    /// trailing entry holds the total trial count.
+    first_claim: Vec<u64>,
 }
 
 impl TrialSchedule {
     /// Schedule replicates `watermarks[c]..trials_per_cell` of every cell
     /// `c`, in ascending global order.
-    pub(crate) fn new(watermarks: &[u64], trials_per_cell: u64, batch_width: u64) -> Self {
-        let width = batch_width.clamp(1, 64);
-        let mut first_block = Vec::with_capacity(watermarks.len() + 1);
-        let mut blocks = 0;
+    pub(crate) fn new(watermarks: &[u64], trials_per_cell: u64) -> Self {
+        let mut first_claim = Vec::with_capacity(watermarks.len() + 1);
+        let mut claims = 0;
         for &w in watermarks {
-            first_block.push(blocks);
-            blocks += (trials_per_cell - w).div_ceil(width);
+            first_claim.push(claims);
+            claims += trials_per_cell - w;
         }
-        first_block.push(blocks);
+        first_claim.push(claims);
         Self {
             trials_per_cell,
-            width,
             from: watermarks.to_vec(),
-            first_block,
+            first_claim,
         }
-    }
-
-    /// How many blocks the schedule holds.
-    pub(crate) fn blocks(&self) -> u64 {
-        *self.first_block.last().expect("a trailing total")
-    }
-
-    /// The `(start, end)` global-trial range of block `bi < blocks()`.
-    pub(crate) fn block(&self, bi: u64) -> (u64, u64) {
-        // The last cell whose first block is at or before `bi`; cells with
-        // no blocks share their successor's first block and are passed over.
-        let c = self.first_block.partition_point(|&f| f <= bi) - 1;
-        let n = self.trials_per_cell;
-        let t = self.from[c] + (bi - self.first_block[c]) * self.width;
-        let base = c as u64 * n;
-        (base + t, base + (t + self.width).min(n))
-    }
-
-    /// Every scheduled global trial index, ascending: the aggregator's
-    /// ingest order.
-    pub(crate) fn trials(&self) -> impl Iterator<Item = u64> + '_ {
-        let n = self.trials_per_cell;
-        self.from
-            .iter()
-            .enumerate()
-            .flat_map(move |(c, &w)| c as u64 * n + w..(c as u64 + 1) * n)
     }
 
     /// How many trials the schedule holds.
     pub(crate) fn trial_count(&self) -> u64 {
-        self.from.iter().map(|&w| self.trials_per_cell - w).sum()
+        *self.first_claim.last().expect("a trailing total")
+    }
+
+    /// The global trial index of claim `i < trial_count()`.
+    pub(crate) fn trial(&self, i: u64) -> u64 {
+        // The last cell whose first claim is at or before `i`; cells with
+        // nothing scheduled share their successor's first claim and are
+        // passed over.
+        let c = self.first_claim.partition_point(|&f| f <= i) - 1;
+        c as u64 * self.trials_per_cell + self.from[c] + (i - self.first_claim[c])
     }
 }
 
-/// What the per-ingest callback of [`run_trial_blocks`] tells the
+/// What the per-ingest callback of [`run_scheduled_trials`] tells the
 /// aggregator to do next.
 pub(crate) enum IngestControl {
     /// Keep ingesting.
@@ -527,13 +491,13 @@ pub(crate) enum IngestControl {
     Stop,
 }
 
-/// Per-ingest callback of [`run_trial_blocks`]:
+/// Per-ingest callback of [`run_scheduled_trials`]:
 /// `(cell, watermark, acc, simulated)` after every ingested trial.
 pub(crate) type OnIngest<'a> =
     dyn FnMut(usize, u64, &CellAccumulator, u64) -> Result<IngestControl, ServiceError> + 'a;
 
-/// Outcome of [`run_trial_blocks`].
-pub(crate) struct BlocksOutcome {
+/// Outcome of [`run_scheduled_trials`].
+pub(crate) struct TrialsOutcome {
     /// Trials simulated *and ingested* by this call.
     pub(crate) simulated: u64,
     /// Whether the callback stopped the run before the schedule drained.
@@ -541,7 +505,7 @@ pub(crate) struct BlocksOutcome {
 }
 
 /// The campaign engine's inner loop, shared by [`run_campaign_service`]
-/// and the shard worker ([`crate::shard`]): simulate every block of the
+/// and the shard worker ([`crate::shard`]): simulate every trial of the
 /// schedule across worker threads and ingest the metrics into
 /// `accs`/`watermarks` **strictly in ascending global-index order** (the
 /// positional-aggregation determinism mechanism — see the module docs).
@@ -554,14 +518,14 @@ pub(crate) struct BlocksOutcome {
 ///
 /// `watermarks[c]` is set to `replicate + 1` as each trial of cell `c`
 /// lands.
-pub(crate) fn run_trial_blocks(
+pub(crate) fn run_scheduled_trials(
     spec: &CampaignSpec,
     cfg: &CampaignConfig,
     schedule: &TrialSchedule,
     accs: &mut [CellAccumulator],
     watermarks: &mut [u64],
     on_ingest: &mut OnIngest<'_>,
-) -> Result<BlocksOutcome, ServiceError> {
+) -> Result<TrialsOutcome, ServiceError> {
     let n = cfg.trials_per_cell;
     let scheduled = schedule.trial_count();
 
@@ -583,45 +547,23 @@ pub(crate) fn run_trial_blocks(
             let tx = tx.clone();
             let next = &next;
             scope.spawn(move || loop {
-                let bi = next.fetch_add(1, Ordering::Relaxed);
-                if bi >= schedule.blocks() {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= scheduled {
                     break;
                 }
-                let (start, end) = schedule.block(bi);
-                let ts = trial_spec(spec, cfg, start);
-                if end - start > 1 && batch_supported(&ts) {
-                    let seeds: Vec<u64> = (start..end)
-                        .map(|g| cell_trial_seed(cfg.seed, g / n, g % n))
-                        .collect();
-                    let engine = EngineConfig {
-                        time_phases: cfg.telemetry,
-                        ..EngineConfig::default()
-                    };
-                    for (i, (r, tel)) in
-                        run_trial_batch(&ts, &seeds, engine).into_iter().enumerate()
-                    {
-                        let metrics = TrialMetrics::new(&r, tel);
-                        if tx.send(Pending(start + i as u64, metrics)).is_err() {
-                            return; // aggregator gone; shutting down
-                        }
-                    }
-                } else {
-                    for g in start..end {
-                        let ts = trial_spec(spec, cfg, g);
-                        let (r, tel) = run_trial_telemetry(&ts, trial_options(cfg));
-                        let metrics = TrialMetrics::new(&r, tel);
-                        if tx.send(Pending(g, metrics)).is_err() {
-                            return; // aggregator gone; shutting down
-                        }
-                    }
+                let g = schedule.trial(i);
+                let (r, tel) = run_trial_telemetry(&trial_spec(spec, cfg, g), trial_options(cfg));
+                if tx.send(Pending(g, TrialMetrics::new(&r, tel))).is_err() {
+                    return; // aggregator gone; shutting down
                 }
             });
         }
         drop(tx);
 
-        // Aggregate strictly in scheduled (ascending global-index) order.
+        // Aggregate strictly in claim order, which is ascending global-index
+        // order.
         let mut heap: BinaryHeap<Pending> = BinaryHeap::new();
-        let mut order = schedule.trials();
+        let mut order = (0..scheduled).map(|i| schedule.trial(i));
         let mut want = order.next();
         let mut progress = Progress::new(cfg.progress, scheduled.max(1));
         'ingest: for pending in rx.iter() {
@@ -658,7 +600,7 @@ pub(crate) fn run_trial_blocks(
     if let Some(e) = cb_error {
         return Err(e);
     }
-    Ok(BlocksOutcome { simulated, stopped })
+    Ok(TrialsOutcome { simulated, stopped })
 }
 
 /// Assemble the final artifact from the filled per-cell accumulators.
@@ -686,7 +628,7 @@ pub(crate) fn assemble_report(
 
 /// Service features layered over the campaign engine by
 /// [`run_campaign_service`]. The default (all `None`/off) is exactly the
-/// plain batch engine — [`run_campaign`] is that default.
+/// plain campaign engine — [`run_campaign`] is that default.
 #[derive(Clone, Debug, Default)]
 pub struct ServiceConfig {
     /// Directory for per-cell checkpoint files (`rcb run --state-dir`).
@@ -868,12 +810,9 @@ pub fn run_campaign_service(
         }
     }
 
-    // Work units are blocks of up to `batch_width` remaining same-cell
-    // trials (size 1 at the default width — the scalar scheduling,
-    // unchanged). Blocks never cross a cell boundary, so a block maps to
-    // one batched engine call; a resumed cell's first block starts at its
-    // watermark.
-    let schedule = TrialSchedule::new(&watermarks, n, cfg.batch_width);
+    // Workers claim one remaining trial at a time; a resumed cell's first
+    // claim is its watermark.
+    let schedule = TrialSchedule::new(&watermarks, n);
 
     // Boundary checkpoint: every `checkpoint_every` trials of the cell's
     // absolute watermark, plus cell completion. The kill hook fires
@@ -903,7 +842,7 @@ pub fn run_campaign_service(
         }
         Ok(IngestControl::Continue)
     };
-    let outcome = run_trial_blocks(
+    let outcome = run_scheduled_trials(
         spec,
         cfg,
         &schedule,
@@ -1036,26 +975,22 @@ mod tests {
         }
     }
 
-    /// The `(start, end)` block list the engine scheduled from before the
-    /// compact [`TrialSchedule`]: one entry per block.
-    fn trial_blocks(watermarks: &[u64], n: u64, batch_width: u64) -> Vec<(u64, u64)> {
-        let width = batch_width.clamp(1, 64);
-        watermarks
-            .iter()
-            .enumerate()
-            .flat_map(|(c, &w)| {
-                let base = c as u64 * n;
-                (w..n)
-                    .step_by(width as usize)
-                    .map(move |t| (base + t, base + (t + width).min(n)))
-            })
-            .collect()
+    /// The trial list the engine scheduled from before the compact
+    /// [`TrialSchedule`]: every global trial still to simulate, in order.
+    fn trial_list(watermarks: &[u64], n: u64) -> Vec<u64> {
+        let mut list = Vec::new();
+        for (c, &w) in watermarks.iter().enumerate() {
+            for t in w..n {
+                list.push(c as u64 * n + t);
+            }
+        }
+        list
     }
 
     #[test]
     fn compact_schedule_yields_the_block_list() {
         let mut rng = rcb_sim::Xoshiro256::seeded(0x5C4E);
-        for case in 0..400 {
+        for _ in 0..400 {
             let n = 1 + rng.gen_range(40);
             let cells = 1 + rng.gen_range(6) as usize;
             // Watermarks anywhere in 0..=n, with fresh and finished cells
@@ -1067,16 +1002,12 @@ mod tests {
                     _ => rng.gen_range(n + 1),
                 })
                 .collect();
-            let width = [0, 1, 2, 3, 7, 8, 64, 100][case % 8];
-            let want = trial_blocks(&watermarks, n, width);
-            let schedule = TrialSchedule::new(&watermarks, n, width);
-            let got: Vec<(u64, u64)> = (0..schedule.blocks())
-                .map(|bi| schedule.block(bi))
+            let want = trial_list(&watermarks, n);
+            let schedule = TrialSchedule::new(&watermarks, n);
+            let got: Vec<u64> = (0..schedule.trial_count())
+                .map(|i| schedule.trial(i))
                 .collect();
-            assert_eq!(got, want, "n {n}, watermarks {watermarks:?}, width {width}");
-            let order: Vec<u64> = want.iter().flat_map(|&(s, e)| s..e).collect();
-            assert_eq!(schedule.trials().collect::<Vec<_>>(), order);
-            assert_eq!(schedule.trial_count(), order.len() as u64);
+            assert_eq!(got, want, "n {n}, watermarks {watermarks:?}");
         }
     }
 
@@ -1183,52 +1114,6 @@ mod tests {
         let one = run(1);
         assert_eq!(one, run(4), "1 vs 4 threads");
         assert_eq!(one, run(8), "1 vs 8 threads");
-    }
-
-    #[test]
-    fn batch_width_does_not_change_the_report() {
-        let spec = tiny_spec();
-        let run = |batch_width| {
-            run_campaign(
-                &spec,
-                &CampaignConfig {
-                    seed: 42,
-                    trials_per_cell: 10,
-                    threads: 2,
-                    batch_width,
-                    ..Default::default()
-                },
-            )
-            .to_json()
-        };
-        let scalar = run(1);
-        // Both an even divisor and a ragged width (10 = 5+5 = 8+2): lanes
-        // replicate scalar trials exactly, so the artifact is byte-identical.
-        assert_eq!(scalar, run(5), "batch 5 vs scalar");
-        assert_eq!(scalar, run(8), "batch 8 vs scalar");
-        assert_eq!(scalar, run(64), "batch 64 vs scalar");
-    }
-
-    #[test]
-    fn batch_width_falls_back_on_unsupported_cells() {
-        // Scheduled cells are outside the batch lane's scope; the engine
-        // must route them through the scalar path and still produce the
-        // same report.
-        let spec = crash_spec();
-        let run = |batch_width| {
-            run_campaign(
-                &spec,
-                &CampaignConfig {
-                    seed: 9,
-                    trials_per_cell: 6,
-                    threads: 2,
-                    batch_width,
-                    ..Default::default()
-                },
-            )
-            .to_json()
-        };
-        assert_eq!(run(1), run(4));
     }
 
     #[test]

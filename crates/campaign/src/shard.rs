@@ -9,19 +9,19 @@
 //!
 //! * **Plan** (`shard-plan.json`): written once by `rcb shard plan`, it
 //!   pins everything the artifact bytes depend on — campaign, seed, trial
-//!   count, slot cap, batch width, checkpoint cadence — plus the
-//!   per-cell identity keys ([`crate::store::checkpoint_key`], which
-//!   embed the build stamp). Workers refuse a plan whose keys they cannot
-//!   reproduce, so a mixed-version fleet fails loudly instead of merging
-//!   subtly different streams.
+//!   count, slot cap, checkpoint cadence — plus the per-cell identity
+//!   keys ([`crate::store::checkpoint_key`], which embed the build
+//!   stamp). Workers refuse a plan whose keys they cannot reproduce, so a
+//!   mixed-version fleet fails loudly instead of merging subtly different
+//!   streams.
 //! * **Lease** (`lease-NNNN.json`): a claim on one cell. Claiming is
 //!   `hard_link(tmp, lease)` — the one POSIX call that *creates* a file
 //!   with full content already in place and fails with `AlreadyExists`
 //!   if someone else holds it; plain tmp+rename would be last-writer-wins,
 //!   not mutual exclusion. The owner re-writes the lease's `beat_ms`
 //!   (heartbeat) from a thread of its own while driving the cell, so a
-//!   trial or batch longer than the staleness window never makes a live
-//!   owner look dead, and removes the lease at completion.
+//!   trial longer than the staleness window never makes a live owner look
+//!   dead, and removes the lease at completion.
 //! * **Steal**: a lease whose heartbeat is older than the plan's
 //!   `stale_after_ms` is presumed dead. A thief `rename`s the lease onto a
 //!   private tombstone — exactly one concurrent thief wins the rename
@@ -40,16 +40,16 @@
 //! *same* replicate stream for a cell and ingests it in the same order,
 //! double-computation (two workers racing one cell) wastes time but can
 //! never change bytes. The merged artifact is byte-identical to a
-//! single-process `rcb run` at any worker count, kill pattern, and batch
-//! width — `tests/shard_scheduler.rs` and the CI shard-smoke job enforce
-//! exactly that with `cmp`.
+//! single-process `rcb run` at any worker count and kill pattern —
+//! `tests/shard_scheduler.rs` and the CI shard-smoke job enforce exactly
+//! that with `cmp`.
 
 use crate::checkpoint::{
     as_arr, as_str, as_u64, checkpoint_path, fnv1a64, get, load_checkpoint, write_atomic,
     write_checkpoint, CellCheckpoint, ServiceError, FNV_BASIS,
 };
 use crate::engine::{
-    assemble_report, run_trial_blocks, CampaignConfig, CellAccumulator, IngestControl,
+    assemble_report, run_scheduled_trials, CampaignConfig, CellAccumulator, IngestControl,
     TrialSchedule,
 };
 use crate::json::Json;
@@ -65,7 +65,9 @@ use std::time::{Duration, SystemTime};
 /// Version of the shard plan / lease / planref file schemas. History:
 ///
 /// * **1** — initial format (see `docs/SCHEMA.md`).
-pub const SHARD_SCHEMA_VERSION: u64 = 1;
+/// * **2** — the plan drops its batch-width field (the trial-batched lane
+///   is gone); a v1 plan is refused, so re-plan in a fresh state directory.
+pub const SHARD_SCHEMA_VERSION: u64 = 2;
 
 /// The plan file's name inside a shard state directory.
 pub const PLAN_FILE: &str = "shard-plan.json";
@@ -89,7 +91,6 @@ pub struct ShardPlan {
     pub campaign: String,
     pub seed: u64,
     pub trials_per_cell: u64,
-    pub batch_width: u64,
     /// Global slot-cap override (`--max-slots`), if any.
     pub max_slots: Option<u64>,
     /// Checkpoint cadence on the absolute per-cell watermark. Shard plans
@@ -121,7 +122,6 @@ impl ShardPlan {
             max_slots: self.max_slots,
             progress: false,
             telemetry: false,
-            batch_width: self.batch_width,
         }
     }
 
@@ -176,11 +176,10 @@ pub fn plan_path(state_dir: &Path) -> PathBuf {
 
 fn plan_identity(plan: &ShardPlan) -> String {
     format!(
-        "shard-plan|campaign={}|seed={}|trials={}|batch={}|max_slots={:?}|every={}|keys={}",
+        "shard-plan|campaign={}|seed={}|trials={}|max_slots={:?}|every={}|keys={}",
         plan.campaign,
         plan.seed,
         plan.trials_per_cell,
-        plan.batch_width,
         plan.max_slots,
         plan.checkpoint_every,
         plan.cell_keys.join(",")
@@ -195,7 +194,6 @@ fn plan_to_json(plan: &ShardPlan) -> Json {
         ("campaign", plan.campaign.as_str().into()),
         ("seed", plan.seed.into()),
         ("trials_per_cell", plan.trials_per_cell.into()),
-        ("batch_width", plan.batch_width.into()),
         (
             "max_slots",
             plan.max_slots.map(Json::from).unwrap_or(Json::Null),
@@ -291,7 +289,6 @@ fn plan_from_json(v: &Json, path: &Path) -> Result<ShardPlan, ServiceError> {
         campaign: as_str(v, "campaign").map_err(&fail)?.to_string(),
         seed: as_u64(v, "seed").map_err(&fail)?,
         trials_per_cell: as_u64(v, "trials_per_cell").map_err(&fail)?,
-        batch_width: as_u64(v, "batch_width").map_err(&fail)?,
         max_slots: opt_u64("max_slots").map_err(&fail)?,
         checkpoint_every: as_u64(v, "checkpoint_every").map_err(&fail)?,
         stale_after_ms: as_u64(v, "stale_after_ms").map_err(&fail)?,
@@ -378,7 +375,6 @@ pub fn write_plan(
         campaign: spec.name.clone(),
         seed: cfg.seed,
         trials_per_cell: cfg.trials_per_cell,
-        batch_width: cfg.batch_width,
         max_slots: cfg.max_slots,
         checkpoint_every: opts.checkpoint_every,
         stale_after_ms: opts.stale_after_ms,
@@ -1101,7 +1097,7 @@ fn drive_cell(
         return Ok(Drive::AlreadyDone);
     }
 
-    // Only this cell gets blocks: every other cell's watermark is pinned
+    // Only this cell gets trials: every other cell's watermark is pinned
     // to n so the schedule holds nothing for it.
     let mut accs: Vec<CellAccumulator> = (0..spec.cells.len())
         .map(|_| CellAccumulator::new())
@@ -1109,7 +1105,7 @@ fn drive_cell(
     let mut watermarks: Vec<u64> = vec![n; spec.cells.len()];
     accs[c] = acc;
     watermarks[c] = watermark;
-    let schedule = TrialSchedule::new(&watermarks, cfg.trials_per_cell, cfg.batch_width);
+    let schedule = TrialSchedule::new(&watermarks, cfg.trials_per_cell);
 
     let beat_every = Duration::from_millis((plan.stale_after_ms / 4).max(1));
     let lost = AtomicBool::new(false);
@@ -1117,9 +1113,8 @@ fn drive_cell(
     let mut killed = false;
     let outcome = std::thread::scope(|scope| {
         // The heartbeat runs beside the trials, not between ingests: one
-        // trial, or one batch of trials, can outlast the staleness window.
-        // It stops (and the kill path leaves the lease to go stale) once
-        // `stop` is dropped.
+        // trial can outlast the staleness window. It stops (and the kill
+        // path leaves the lease to go stale) once `stop` is dropped.
         let (stop, stopped) = mpsc::channel::<()>();
         let lost = &lost;
         let mut mine = lease.clone();
@@ -1168,7 +1163,7 @@ fn drive_cell(
             }
             Ok(IngestControl::Continue)
         };
-        let outcome = run_trial_blocks(
+        let outcome = run_scheduled_trials(
             spec,
             &cfg,
             &schedule,
@@ -1412,6 +1407,57 @@ mod tests {
         std::fs::write(&path, text.replace("\"seed\": 11", "\"seed\": 12")).unwrap();
         let err = load_plan(&dir).expect_err("tampered plan");
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A plan in the v1 layout (`schema_version` 1 plus the since-removed
+    /// batch-width field) with a valid checksum and plan id is refused by
+    /// the version check, with file context — never read as a current plan.
+    #[test]
+    fn v1_plan_is_refused_by_the_version_check() {
+        let dir = scratch("v1plan");
+        let spec = tiny_spec();
+        let keys = write_plan(&spec, &cfg(3), &dir, &PlanOptions::default())
+            .expect("plan")
+            .cell_keys;
+        let plan_id = hash128(&format!(
+            "shard-plan|campaign={}|seed=11|trials=3|batch=8|max_slots=None|every=1|keys={}",
+            spec.name,
+            keys.join(",")
+        ));
+        let payload = Json::obj(vec![
+            ("schema_version", 1u64.into()),
+            ("kind", "rcb-shard-plan".into()),
+            ("plan_id", plan_id.as_str().into()),
+            ("campaign", spec.name.as_str().into()),
+            ("seed", 11u64.into()),
+            ("trials_per_cell", 3u64.into()),
+            ("batch_width", 8u64.into()),
+            ("max_slots", Json::Null),
+            ("checkpoint_every", 1u64.into()),
+            ("stale_after_ms", 10_000u64.into()),
+            (
+                "cell_keys",
+                Json::arr(keys.into_iter().map(Json::Str).collect()),
+            ),
+            ("store_dir", Json::Null),
+        ]);
+        let sum = format!(
+            "{:016x}",
+            fnv1a64(payload.to_compact().as_bytes(), FNV_BASIS)
+        );
+        let Json::Object(mut fields) = payload else {
+            unreachable!("plan payload is an object")
+        };
+        fields.push(("checksum".to_string(), Json::Str(sum)));
+        std::fs::write(plan_path(&dir), Json::Object(fields).to_pretty()).unwrap();
+
+        let msg = load_plan(&dir).expect_err("v1 plan").to_string();
+        assert!(
+            msg.starts_with(&plan_path(&dir).display().to_string()),
+            "missing file context: {msg}"
+        );
+        assert!(msg.contains("unsupported shard schema version 1"), "{msg}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -55,8 +55,8 @@ pub mod spec;
 
 pub use report::{sweep_by, SweepPoint};
 pub use runner::{
-    batch_supported, cell_trial_seed, resolve_threads, run_trial, run_trial_batch, run_trial_opts,
-    run_trial_telemetry, run_trials, TrialOptions, TrialResult,
+    cell_trial_seed, resolve_threads, run_trial, run_trial_opts, run_trial_telemetry, run_trials,
+    TrialOptions, TrialResult,
 };
 pub use spec::{
     AdversaryKind, ProtocolKind, ScheduleEventKind, ScheduleSpec, TopologyKind, TrialSpec,

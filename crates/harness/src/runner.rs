@@ -12,9 +12,8 @@ use rcb_core::{
     MultiMessageCast,
 };
 use rcb_sim::{
-    derive_seed, AdaptiveAdversary, Adversary, BatchLane, BatchSimulation, EngineConfig,
-    EngineTelemetry, Eve, Observer, RunOutcome, ScheduleMarker, Simulation, WorldEvent,
-    WorldSchedule, MAX_BATCH_LANES,
+    derive_seed, AdaptiveAdversary, Adversary, EngineConfig, EngineTelemetry, Eve, Observer,
+    RunOutcome, ScheduleMarker, Simulation, WorldEvent, WorldSchedule,
 };
 
 /// The distilled result of one trial — everything the experiment reports
@@ -322,122 +321,6 @@ fn simulate<P: rcb_sim::Protocol>(
         None => &mut noop,
     })
     .run_with_telemetry(spec.seed)
-}
-
-/// Whether `spec` fits the trial-batched execution lane
-/// ([`rcb_sim::BatchSimulation`]): single-hop (the `Complete` topology
-/// default), unscheduled, single-message. Specs outside this scope run
-/// per-trial through the scalar engine instead.
-pub fn batch_supported(spec: &TrialSpec) -> bool {
-    spec.topology.is_complete()
-        && spec.schedule.is_empty()
-        && !matches!(spec.protocol, ProtocolKind::MultiMessage { .. })
-}
-
-/// Build the [`BatchSimulation`] described by the spec and run one batch of
-/// lanes — the batched counterpart of [`simulate`]. The spec's own seed is
-/// ignored; each lane runs under its entry of `seeds`.
-fn simulate_batch<P: rcb_sim::Protocol>(
-    protocol: &mut P,
-    spec: &TrialSpec,
-    seeds: &[u64],
-    engine: EngineConfig,
-) -> Vec<(RunOutcome, EngineTelemetry)> {
-    let cfg = EngineConfig {
-        max_slots: spec.max_slots,
-        stop_when_all_informed: spec.protocol.never_halts(),
-        ..engine
-    };
-    let mut out = Vec::with_capacity(seeds.len());
-    for chunk in seeds.chunks(MAX_BATCH_LANES) {
-        let mut advs: Vec<BuiltAdversary> = chunk
-            .iter()
-            .map(|&seed| build_adversary(&spec.adversary, seed))
-            .collect();
-        let lanes: Vec<BatchLane<'_>> = advs
-            .iter_mut()
-            .zip(chunk)
-            .map(|(adv, &seed)| BatchLane {
-                seed,
-                eve: adv.as_eve(),
-            })
-            .collect();
-        out.extend(BatchSimulation::new(protocol).config(cfg).run(lanes));
-    }
-    out
-}
-
-/// Run one trial per seed through the trial-batched lane (up to 64 lanes in
-/// lockstep per batch; longer seed lists are chunked). Results come back in
-/// seed order. A single seed delegates to the scalar engine and is
-/// byte-identical to [`run_trial_telemetry`] on the same spec
-/// (`tests/batch_equivalence.rs` pins this).
-///
-/// # Panics
-/// If `spec` is outside the batch lane's scope (see [`batch_supported`]).
-pub fn run_trial_batch(
-    spec: &TrialSpec,
-    seeds: &[u64],
-    engine: EngineConfig,
-) -> Vec<(TrialResult, EngineTelemetry)> {
-    assert!(
-        batch_supported(spec),
-        "spec outside the batch lane's scope (topology/schedule/multi-message); \
-         gate on batch_supported() and fall back to run_trial_telemetry"
-    );
-    let runs = match spec.protocol.clone() {
-        ProtocolKind::Core { n, t, params } => {
-            let mut p = MultiCastCore::with_params(n, t, params);
-            simulate_batch(&mut p, spec, seeds, engine)
-        }
-        ProtocolKind::MultiCast { n, params } => {
-            let mut p = MultiCast::with_params(n, params);
-            simulate_batch(&mut p, spec, seeds, engine)
-        }
-        ProtocolKind::MultiCastC { n, c, params } => {
-            let mut p = MultiCastC::with_params(n, c, params);
-            simulate_batch(&mut p, spec, seeds, engine)
-        }
-        ProtocolKind::Adv { n, params } => {
-            let mut p = MultiCastAdv::with_params(n, params);
-            simulate_batch(&mut p, spec, seeds, engine)
-        }
-        ProtocolKind::Naive { n, act_prob } => {
-            let mut p = NaiveEpidemic::with_act_prob(n, act_prob);
-            simulate_batch(&mut p, spec, seeds, engine)
-        }
-        ProtocolKind::NaiveConfig {
-            n,
-            channels,
-            act_prob,
-        } => {
-            let mut p = NaiveEpidemic::with_config(n, channels, act_prob);
-            simulate_batch(&mut p, spec, seeds, engine)
-        }
-        ProtocolKind::SingleChannel { n, params } => {
-            let mut p = SingleChannelRcb::with_params(n, params);
-            simulate_batch(&mut p, spec, seeds, engine)
-        }
-        ProtocolKind::Decay { n } => {
-            let mut p = Decay::new(n);
-            simulate_batch(&mut p, spec, seeds, engine)
-        }
-        ProtocolKind::MultiHop { n, channels, p } => {
-            let mut p = MultiHopCast::with_config(n, channels, p);
-            simulate_batch(&mut p, spec, seeds, engine)
-        }
-        ProtocolKind::MultiMessage { .. } => {
-            unreachable!("batch_supported excludes multi-message specs")
-        }
-    };
-    runs.into_iter()
-        .zip(seeds)
-        .map(|((out, tel), &seed)| {
-            let mut lane_spec = spec.clone();
-            lane_spec.seed = seed;
-            (TrialResult::from_outcome(&lane_spec, &out), tel)
-        })
-        .collect()
 }
 
 /// Run a single trial with default options.

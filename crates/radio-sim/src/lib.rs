@@ -53,7 +53,6 @@
 //! in [`RunOutcome`]. An empty schedule is byte-identical to no schedule.
 
 pub mod adaptive;
-pub mod batch;
 pub mod channel;
 pub mod engine;
 pub mod jamset;
@@ -67,7 +66,6 @@ pub mod topology;
 pub mod trace;
 
 pub use adaptive::{AdaptiveAdversary, BandObservation, ObliviousAsAdaptive};
-pub use batch::{BatchLane, BatchSimulation, MAX_BATCH_LANES};
 pub use channel::{ChannelBoard, Feedback, Payload};
 pub use engine::{EngineConfig, Eve, Sampling, Simulation};
 pub use jamset::JamSet;

@@ -1,17 +1,16 @@
 //! Kill-anywhere resume equivalence: the campaign service
 //! ([`rcb::campaign::run_campaign_service`]) must reproduce the
 //! uninterrupted artifact **byte for byte** no matter where a run is
-//! killed, how many times it is killed, how many threads drain the
-//! trial queue, or how wide the batch lanes are.
+//! killed, how many times it is killed, or how many threads drain the
+//! trial queue.
 //!
 //! Contract, in three tiers:
 //!
 //! * **Kill anywhere, resume once.** For every kill point `k` in
 //!   `1..total` the sequence "run until `k` trials are simulated, exit,
 //!   resume" yields an artifact byte-identical to the uninterrupted
-//!   run — across a {1,4}-thread × {1,8}-batch-width matrix, and with
-//!   the resume leg running under a *different* thread count than the
-//!   killed leg (checkpoints must not encode scheduling).
+//!   run — at 1 and 4 threads, with the resume leg running under the
+//!   *other* thread count (checkpoints must not encode scheduling).
 //! * **Kill repeatedly.** A chain of kills (resume legs themselves
 //!   killed) converges to the same bytes; checkpoints written by a
 //!   resumed run are as good as first-generation ones.
@@ -78,12 +77,11 @@ fn spec() -> CampaignSpec {
     }
 }
 
-fn cfg(trials: u64, threads: usize, batch_width: u64) -> CampaignConfig {
+fn cfg(trials: u64, threads: usize) -> CampaignConfig {
     CampaignConfig {
         seed: 2019,
         trials_per_cell: trials,
         threads,
-        batch_width,
         ..Default::default()
     }
 }
@@ -107,34 +105,33 @@ fn complete_json(run: Result<ServiceRun, rcb::campaign::ServiceError>) -> String
     }
 }
 
-/// The headline matrix: every kill point × {1,4} threads × {1,8} batch
-/// widths, with the resume leg on a different thread count than the
-/// killed leg.
+/// The headline matrix: every kill point × {1,4} threads, with the
+/// resume leg on the thread count the killed leg did not use.
 #[test]
 fn kill_anywhere_resume_is_byte_identical() {
     let spec = spec();
     let trials = 4u64;
     let total = spec.cells.len() as u64 * trials;
-    let reference = run_campaign(&spec, &cfg(trials, 1, 1)).to_json();
+    let reference = run_campaign(&spec, &cfg(trials, 1)).to_json();
 
-    for &(threads, width) in &[(1usize, 1u64), (1, 8), (4, 1), (4, 8)] {
-        // The uninterrupted service run under this schedule shape must
-        // already match the plain-engine reference.
+    for &threads in &[1usize, 4] {
+        // The uninterrupted service run at this thread count must already
+        // match the plain-engine reference.
         assert_eq!(
             reference,
             complete_json(run_campaign_service(
                 &spec,
-                &cfg(trials, threads, width),
+                &cfg(trials, threads),
                 &ServiceConfig::default(),
             )),
-            "threads={threads} width={width}: uninterrupted service run diverged"
+            "threads={threads}: uninterrupted service run diverged"
         );
 
         for kill in 1..total {
-            let dir = scratch(&format!("kill-{threads}-{width}-{kill}"));
+            let dir = scratch(&format!("kill-{threads}-{kill}"));
             let killed = run_campaign_service(
                 &spec,
-                &cfg(trials, threads, width),
+                &cfg(trials, threads),
                 &service(&dir, false, Some(kill)),
             )
             .expect("killed leg failed");
@@ -151,12 +148,12 @@ fn kill_anywhere_resume_is_byte_identical() {
             let other = if threads == 1 { 4 } else { 1 };
             let resumed = complete_json(run_campaign_service(
                 &spec,
-                &cfg(trials, other, width),
+                &cfg(trials, other),
                 &service(&dir, true, None),
             ));
             assert_eq!(
                 reference, resumed,
-                "threads={threads}->{other} width={width} kill={kill}: resumed artifact diverged"
+                "threads={threads}->{other} kill={kill}: resumed artifact diverged"
             );
             let _ = std::fs::remove_dir_all(&dir);
         }
@@ -170,14 +167,14 @@ fn kill_anywhere_resume_is_byte_identical() {
 fn chained_kills_converge_to_the_same_bytes() {
     let spec = spec();
     let trials = 4u64;
-    let reference = run_campaign(&spec, &cfg(trials, 2, 1)).to_json();
+    let reference = run_campaign(&spec, &cfg(trials, 2)).to_json();
     let dir = scratch("chain");
 
     // `kill_after_trials` counts trials simulated *in that leg*, and a
     // kill can lose up to `checkpoint_every - 1` trials per cell past
     // the last boundary — keep each leg's kill below the work remaining.
     for (leg, kill) in [(0u32, Some(3)), (1, Some(4)), (2, Some(2))] {
-        let run = run_campaign_service(&spec, &cfg(trials, 2, 1), &service(&dir, leg > 0, kill))
+        let run = run_campaign_service(&spec, &cfg(trials, 2), &service(&dir, leg > 0, kill))
             .expect("chained leg failed");
         assert!(
             matches!(run, ServiceRun::Killed { .. }),
@@ -186,7 +183,7 @@ fn chained_kills_converge_to_the_same_bytes() {
     }
     let final_json = complete_json(run_campaign_service(
         &spec,
-        &cfg(trials, 2, 1),
+        &cfg(trials, 2),
         &service(&dir, true, None),
     ));
     assert_eq!(
@@ -205,12 +202,12 @@ fn incremental_trials_extend_checkpoints_in_place() {
     let cells = spec.cells.len() as u64;
 
     // Complete a 3-trial campaign with checkpointing on.
-    let first = run_campaign_service(&spec, &cfg(3, 2, 1), &service(&dir, false, None))
+    let first = run_campaign_service(&spec, &cfg(3, 2), &service(&dir, false, None))
         .expect("seed run failed");
     assert!(matches!(first, ServiceRun::Complete { .. }));
 
     // Grow to 5 trials: exactly 2 more per cell are simulated.
-    let grown = run_campaign_service(&spec, &cfg(5, 2, 1), &service(&dir, true, None))
+    let grown = run_campaign_service(&spec, &cfg(5, 2), &service(&dir, true, None))
         .expect("grow run failed");
     let ServiceRun::Complete {
         report,
@@ -225,13 +222,13 @@ fn incremental_trials_extend_checkpoints_in_place() {
     assert_eq!(simulated_trials, cells * 2);
     assert_eq!(
         report.to_json(),
-        run_campaign(&spec, &cfg(5, 1, 1)).to_json(),
+        run_campaign(&spec, &cfg(5, 1)).to_json(),
         "incrementally grown artifact diverged from a fresh 5-trial run"
     );
 
     // Shrinking is refused with checkpoint-file context, not silently
     // truncated.
-    let err = run_campaign_service(&spec, &cfg(2, 2, 1), &service(&dir, true, None))
+    let err = run_campaign_service(&spec, &cfg(2, 2), &service(&dir, true, None))
         .expect_err("shrinking trials must fail");
     let msg = err.to_string();
     assert!(
@@ -247,14 +244,13 @@ fn incremental_trials_extend_checkpoints_in_place() {
 fn corrupt_and_truncated_checkpoints_are_rejected_with_context() {
     let spec = spec();
     let dir = scratch("corrupt");
-    run_campaign_service(&spec, &cfg(3, 2, 1), &service(&dir, false, None))
-        .expect("seed run failed");
+    run_campaign_service(&spec, &cfg(3, 2), &service(&dir, false, None)).expect("seed run failed");
     let path = checkpoint_path(&dir, 0);
     let pristine = std::fs::read_to_string(&path).expect("checkpoint exists");
 
     // Truncation: not even valid JSON.
     std::fs::write(&path, &pristine[..pristine.len() / 2]).unwrap();
-    let err = run_campaign_service(&spec, &cfg(3, 2, 1), &service(&dir, true, None))
+    let err = run_campaign_service(&spec, &cfg(3, 2), &service(&dir, true, None))
         .expect_err("truncated checkpoint must fail");
     assert!(
         err.to_string().starts_with(&path.display().to_string()),
@@ -265,7 +261,7 @@ fn corrupt_and_truncated_checkpoints_are_rejected_with_context() {
     let tampered = pristine.replace("\"trials_done\": 3", "\"trials_done\": 2");
     assert_ne!(tampered, pristine, "fixture no longer matches the format");
     std::fs::write(&path, tampered).unwrap();
-    let err = run_campaign_service(&spec, &cfg(3, 2, 1), &service(&dir, true, None))
+    let err = run_campaign_service(&spec, &cfg(3, 2), &service(&dir, true, None))
         .expect_err("tampered checkpoint must fail");
     let msg = err.to_string();
     assert!(
@@ -285,7 +281,7 @@ fn warm_store_does_zero_simulation_work() {
         store_dir: Some(store.clone()),
         ..Default::default()
     };
-    let cold = run_campaign_service(&spec, &cfg(3, 2, 1), &svc).expect("cold run failed");
+    let cold = run_campaign_service(&spec, &cfg(3, 2), &svc).expect("cold run failed");
     let ServiceRun::Complete {
         report: cold_report,
         simulated_trials: cold_sim,
@@ -298,7 +294,7 @@ fn warm_store_does_zero_simulation_work() {
     assert_eq!(cold_hits, 0);
     assert_eq!(cold_sim, spec.cells.len() as u64 * 3);
 
-    let warm = run_campaign_service(&spec, &cfg(3, 4, 1), &svc).expect("warm run failed");
+    let warm = run_campaign_service(&spec, &cfg(3, 4), &svc).expect("warm run failed");
     let ServiceRun::Complete {
         report: warm_report,
         simulated_trials: warm_sim,
@@ -317,7 +313,7 @@ fn warm_store_does_zero_simulation_work() {
     );
 
     // Any seed change misses the store entirely.
-    let mut other = cfg(3, 2, 1);
+    let mut other = cfg(3, 2);
     other.seed = 2020;
     let miss = run_campaign_service(&spec, &other, &svc).expect("miss run failed");
     let ServiceRun::Complete {

@@ -2,13 +2,13 @@
 //! independent workers over a shared state directory
 //! ([`rcb::campaign::shard_work`]) and folded by
 //! [`rcb::campaign::shard_merge`] must reproduce the single-process
-//! artifact **byte for byte** — at any worker count, any batch width, and
-//! under mid-cell worker death with lease stealing.
+//! artifact **byte for byte** — at any worker count and under mid-cell
+//! worker death with lease stealing.
 //!
 //! Contract, in three tiers:
 //!
-//! * **Any fleet size.** {1,2,4} workers × {1,8} batch widths all merge
-//!   to the bytes of a plain `run_campaign` of the same spec/config. The
+//! * **Any fleet size.** 1, 2 and 4 workers all merge to the bytes of a
+//!   plain `run_campaign` of the same spec/config. The
 //!   workers race each other for cells through atomic lease claims; who
 //!   wins which cell must be invisible in the artifact.
 //! * **Kill one worker mid-cell.** A worker hard-killed between
@@ -78,12 +78,11 @@ fn spec() -> CampaignSpec {
     }
 }
 
-fn cfg(trials: u64, batch_width: u64) -> CampaignConfig {
+fn cfg(trials: u64) -> CampaignConfig {
     CampaignConfig {
         seed: 2019,
         trials_per_cell: trials,
         threads: 1,
-        batch_width,
         ..Default::default()
     }
 }
@@ -124,113 +123,108 @@ fn assert_no_scheduler_residue(state_dir: &Path) {
     }
 }
 
-/// The headline matrix: {1,2,4} workers × {1,8} batch widths, every
-/// combination merging to the single-process bytes.
+/// The headline matrix: 1, 2 and 4 workers, every fleet size merging to
+/// the single-process bytes.
 #[test]
 fn merge_is_byte_identical_across_worker_and_batch_matrix() {
     let spec = spec();
-    for &batch_width in &[1u64, 8] {
-        let cfg = cfg(5, batch_width);
-        let reference = run_campaign(&spec, &cfg).to_json();
-        for &workers in &[1usize, 2, 4] {
-            let dir = scratch(&format!("matrix-w{workers}-b{batch_width}"));
-            write_plan(&spec, &cfg, &dir, &PlanOptions::default()).expect("plan");
-            let outcomes = run_fleet(&spec, &dir, workers);
-            let completed: u64 = outcomes
-                .iter()
-                .map(|o| match o {
-                    WorkerOutcome::Finished {
-                        cells_completed, ..
-                    } => *cells_completed,
-                    WorkerOutcome::Killed { .. } => panic!("no kill switch in this test"),
-                })
-                .sum();
-            assert_eq!(
-                completed, 3,
-                "every cell completed exactly once across the fleet \
-                 (workers={workers}, batch={batch_width})"
-            );
-            let merged = shard_merge(&spec, &dir).expect("merge");
-            assert_eq!(
-                merged.report.to_json(),
-                reference,
-                "merge bytes diverged at workers={workers}, batch={batch_width}"
-            );
-            assert_no_scheduler_residue(&dir);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+    let cfg = cfg(5);
+    let reference = run_campaign(&spec, &cfg).to_json();
+    for &workers in &[1usize, 2, 4] {
+        let dir = scratch(&format!("matrix-w{workers}"));
+        write_plan(&spec, &cfg, &dir, &PlanOptions::default()).expect("plan");
+        let outcomes = run_fleet(&spec, &dir, workers);
+        let completed: u64 = outcomes
+            .iter()
+            .map(|o| match o {
+                WorkerOutcome::Finished {
+                    cells_completed, ..
+                } => *cells_completed,
+                WorkerOutcome::Killed { .. } => panic!("no kill switch in this test"),
+            })
+            .sum();
+        assert_eq!(
+            completed, 3,
+            "every cell completed exactly once across the fleet (workers={workers})"
+        );
+        let merged = shard_merge(&spec, &dir).expect("merge");
+        assert_eq!(
+            merged.report.to_json(),
+            reference,
+            "merge bytes diverged at workers={workers}"
+        );
+        assert_no_scheduler_residue(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
 /// Kill-one-worker-mid-cell: the dead worker's lease goes stale, the
 /// fleet steals it, resumes the cell from its checkpoint watermark, and
-/// the merged artifact is still byte-identical — for both batch widths.
+/// the merged artifact is still byte-identical.
 #[test]
 fn killed_worker_is_stolen_from_and_merge_bytes_are_unchanged() {
     let spec = spec();
-    for &batch_width in &[1u64, 8] {
-        let cfg = cfg(5, batch_width);
-        let reference = run_campaign(&spec, &cfg).to_json();
-        let dir = scratch(&format!("kill-b{batch_width}"));
-        write_plan(
-            &spec,
-            &cfg,
-            &dir,
-            &PlanOptions {
-                stale_after_ms: 60, // quick staleness so the test stays fast
-                ..Default::default()
-            },
-        )
-        .expect("plan");
+    let cfg = cfg(5);
+    let reference = run_campaign(&spec, &cfg).to_json();
+    let dir = scratch("kill");
+    write_plan(
+        &spec,
+        &cfg,
+        &dir,
+        &PlanOptions {
+            stale_after_ms: 60, // quick staleness so the test stays fast
+            ..Default::default()
+        },
+    )
+    .expect("plan");
 
-        // One worker dies mid-cell: 3 of the cell's 5 trials ingested,
-        // lease left in place exactly as a hard kill would.
-        let dead = shard_work(
-            &spec,
-            &dir,
-            &WorkerOptions {
-                max_trials: Some(3),
-                ..worker("doomed")
-            },
-        )
-        .expect("killed worker");
-        let WorkerOutcome::Killed { trials_simulated } = dead else {
-            panic!("kill switch did not fire: {dead:?}")
-        };
-        assert_eq!(trials_simulated, 3);
-        let status =
-            shard_status(&dir, &rcb::campaign::load_plan(&dir).expect("plan")).expect("status");
-        let victim: Vec<_> = status
-            .iter()
-            .filter(|s| s.owner.as_deref() == Some("doomed"))
-            .collect();
-        assert_eq!(victim.len(), 1, "the dead worker's lease is still held");
-        assert!(
-            victim[0].watermark > 0,
-            "mid-cell: progress was checkpointed"
-        );
-        assert!(victim[0].watermark < 5, "mid-cell: the cell is unfinished");
+    // One worker dies mid-cell: 3 of the cell's 5 trials ingested,
+    // lease left in place exactly as a hard kill would.
+    let dead = shard_work(
+        &spec,
+        &dir,
+        &WorkerOptions {
+            max_trials: Some(3),
+            ..worker("doomed")
+        },
+    )
+    .expect("killed worker");
+    let WorkerOutcome::Killed { trials_simulated } = dead else {
+        panic!("kill switch did not fire: {dead:?}")
+    };
+    assert_eq!(trials_simulated, 3);
+    let status =
+        shard_status(&dir, &rcb::campaign::load_plan(&dir).expect("plan")).expect("status");
+    let victim: Vec<_> = status
+        .iter()
+        .filter(|s| s.owner.as_deref() == Some("doomed"))
+        .collect();
+    assert_eq!(victim.len(), 1, "the dead worker's lease is still held");
+    assert!(
+        victim[0].watermark > 0,
+        "mid-cell: progress was checkpointed"
+    );
+    assert!(victim[0].watermark < 5, "mid-cell: the cell is unfinished");
 
-        // The fleet steals the stale lease and finishes everything.
-        let outcomes = run_fleet(&spec, &dir, 2);
-        let stolen: u64 = outcomes
-            .iter()
-            .map(|o| match o {
-                WorkerOutcome::Finished { cells_stolen, .. } => *cells_stolen,
-                WorkerOutcome::Killed { .. } => panic!("fleet workers have no kill switch"),
-            })
-            .sum();
-        assert_eq!(stolen, 1, "exactly one steal: the dead worker's cell");
+    // The fleet steals the stale lease and finishes everything.
+    let outcomes = run_fleet(&spec, &dir, 2);
+    let stolen: u64 = outcomes
+        .iter()
+        .map(|o| match o {
+            WorkerOutcome::Finished { cells_stolen, .. } => *cells_stolen,
+            WorkerOutcome::Killed { .. } => panic!("fleet workers have no kill switch"),
+        })
+        .sum();
+    assert_eq!(stolen, 1, "exactly one steal: the dead worker's cell");
 
-        let merged = shard_merge(&spec, &dir).expect("merge");
-        assert_eq!(
-            merged.report.to_json(),
-            reference,
-            "steal-and-resume changed bytes at batch={batch_width}"
-        );
-        assert_no_scheduler_residue(&dir);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let merged = shard_merge(&spec, &dir).expect("merge");
+    assert_eq!(
+        merged.report.to_json(),
+        reference,
+        "steal-and-resume changed bytes"
+    );
+    assert_no_scheduler_residue(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Status transitions: available → claimed (fresh lease) → done, and a
@@ -238,7 +232,7 @@ fn killed_worker_is_stolen_from_and_merge_bytes_are_unchanged() {
 #[test]
 fn status_tracks_the_lease_lifecycle() {
     let spec = spec();
-    let cfg = cfg(2, 1);
+    let cfg = cfg(2);
     let dir = scratch("status");
     let plan = write_plan(
         &spec,
@@ -291,7 +285,7 @@ fn status_tracks_the_lease_lifecycle() {
 #[test]
 fn second_fleet_is_fully_warm_through_the_store() {
     let spec = spec();
-    let cfg = cfg(3, 1);
+    let cfg = cfg(3);
     let store_dir = scratch("warm-store");
     let opts = PlanOptions {
         store_dir: Some(store_dir.clone()),

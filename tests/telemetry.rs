@@ -221,63 +221,6 @@ fn observer_events_match_mounted_observer_and_do_not_perturb() {
     }
 }
 
-/// The same conservation invariants hold lane by lane in the trial-batched
-/// execution path: each lane's telemetry splits its slots and Eve's ledger
-/// exactly, closes its span histogram, and leaves wall-clock phases zero.
-/// (`tests/batch_equivalence.rs` pins lane telemetry *equal* to the scalar
-/// trial's; this pins the invariants independently of that identity.)
-#[test]
-fn batch_lane_telemetry_obeys_the_same_invariants() {
-    use rcb::harness::{run_trial_batch, AdversaryKind, ProtocolKind, TrialSpec};
-
-    let lane_seeds: Vec<u64> = (0..8).map(|i| 4000 + 13 * i).collect();
-    for adversary in [
-        AdversaryKind::Silent,
-        AdversaryKind::Uniform {
-            t: 30_000,
-            frac: 0.6,
-        },
-        AdversaryKind::Sweep {
-            t: 30_000,
-            width: 3,
-            step: 2,
-        },
-    ] {
-        let spec = TrialSpec::new(
-            ProtocolKind::MultiCast {
-                n: 16,
-                params: Default::default(),
-            },
-            adversary,
-            lane_seeds[0],
-        )
-        .with_max_slots(60_000);
-        for (r, tel) in run_trial_batch(&spec, &lane_seeds, EngineConfig::default()) {
-            let label = format!("batch lane seed {} vs {}", r.seed, r.adversary);
-            assert_eq!(
-                tel.slots_stepped + tel.slots_fast_forwarded,
-                r.slots,
-                "{label}: stepped + fast-forwarded must cover every slot"
-            );
-            assert_eq!(
-                tel.jam_spent_stepped + tel.jam_spent_spans,
-                r.eve_spent,
-                "{label}: jam-budget split must conserve Eve's ledger"
-            );
-            assert_eq!(
-                tel.span_len_hist.iter().sum::<u64>(),
-                tel.spans,
-                "{label}: histogram must account for every span exactly once"
-            );
-            assert_eq!(
-                tel.phases.total(),
-                0,
-                "{label}: phases timed without opt-in"
-            );
-        }
-    }
-}
-
 /// The derived ratios agree with the raw counters they summarize.
 #[test]
 fn derived_ratios_are_consistent() {
