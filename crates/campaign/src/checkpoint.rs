@@ -551,6 +551,41 @@ pub fn load_checkpoint(path: &Path) -> Result<Option<CellCheckpoint>, ServiceErr
         .map_err(|e| ServiceError::at(path, e))
 }
 
+/// [`load_checkpoint`] for a cell about to be resumed, merged or scanned:
+/// the checkpoint must carry the cell's identity `key` and a watermark of
+/// at most `trials`. The one place those refusals are made, for every
+/// entry point (`rcb run --resume` and every `rcb shard` subcommand).
+pub(crate) fn load_cell_checkpoint(
+    path: &Path,
+    key: &str,
+    trials: u64,
+) -> Result<Option<CellCheckpoint>, ServiceError> {
+    let Some(ckpt) = load_checkpoint(path)? else {
+        return Ok(None);
+    };
+    if ckpt.key != key {
+        return Err(ServiceError::at(
+            path,
+            format!(
+                "checkpoint belongs to a different cell configuration (key {} vs expected \
+                 {key}); move or delete the state directory",
+                ckpt.key
+            ),
+        ));
+    }
+    if ckpt.trials_done > trials {
+        return Err(ServiceError::at(
+            path,
+            format!(
+                "checkpoint watermark {} exceeds the requested {trials} trials; trials can grow \
+                 incrementally but never shrink",
+                ckpt.trials_done
+            ),
+        ));
+    }
+    Ok(Some(ckpt))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,12 +3,13 @@
 //! Executes every cell of a [`CampaignSpec`] for `trials_per_cell` seeds,
 //! sharding trials across worker threads, and aggregates **streamingly**:
 //! no `TrialResult` vector is ever materialized. Workers distill each trial
-//! into a ~100-byte `TrialMetrics` and send it to the aggregator thread,
-//! which feeds per-cell accumulators (`CellAccumulator`) built from
-//! `rcb-stats` streaming moments and quantile sketches. Memory is
-//! `O(cells · sketch)` + a small reorder buffer, independent of the trial
-//! count: the work schedule (`TrialSchedule`) is a replicate range per
-//! cell, not a list of trials.
+//! into a ~100-byte `TrialMetrics`, which the harness's ordered pool
+//! ([`rcb_harness::run_ordered`]) hands back to the calling thread to feed
+//! per-cell accumulators (`CellAccumulator`) built from `rcb-stats`
+//! streaming moments and quantile sketches. Memory is `O(cells · sketch)` +
+//! a small reorder window, independent of the trial count: the work
+//! schedule (`TrialSchedule`) is a replicate range per cell, not a list of
+//! trials.
 //!
 //! ## Determinism
 //!
@@ -22,11 +23,10 @@
 //!    which worker claims it. Because a cell's stream depends only on
 //!    `(campaign_seed, c)`, growing `--trials` extends each stream in
 //!    place, which is what makes incremental resume possible.
-//! 2. **Aggregation order is positional.** Workers return metrics tagged
-//!    with `g`; the aggregator holds them in a reorder buffer and ingests
-//!    strictly in increasing `g`. Floating-point accumulation order is
-//!    therefore fixed, so even the non-associative Welford updates produce
-//!    identical bits.
+//! 2. **Aggregation order is positional.** The pool delivers metrics
+//!    strictly in increasing `g`, whichever worker finished first.
+//!    Floating-point accumulation order is therefore fixed, so even the
+//!    non-associative Welford updates produce identical bits.
 //!
 //! ## The resumable service
 //!
@@ -39,8 +39,17 @@
 //! seeds are the same as in an uninterrupted run — so the final artifact is
 //! byte-identical at any kill point and thread count
 //! (`tests/resume_equivalence.rs` pins this).
+//!
+//! A cell's durable state has one owner, `CellKeeper`: the validated
+//! checkpoint load, the store lookup, the boundary checkpoint write, the
+//! store publish, and the drive loop with its kill switch. The shard
+//! worker ([`crate::shard`]) runs its cells through the same keeper and
+//! adds only its lease, as a fence the drive loop consults before each
+//! write; that shared code is why a merged fleet's bytes equal `rcb run`'s.
 
-use crate::checkpoint::{load_checkpoint, write_checkpoint, CellCheckpoint, ServiceError};
+use crate::checkpoint::{
+    checkpoint_path, load_cell_checkpoint, write_checkpoint, CellCheckpoint, ServiceError,
+};
 use crate::report::{
     code_version, CampaignReport, CellPerf, CellReport, MetricReport, ScheduleReport, TimelineEntry,
 };
@@ -50,10 +59,9 @@ use crate::tracefile::{TraceWriter, TrialTraceObserver};
 use rcb_harness::{cell_trial_seed, run_trial_telemetry, TrialOptions, TrialResult, TrialSpec};
 use rcb_sim::{EngineConfig, EngineTelemetry, ScheduleMarker};
 use rcb_stats::{QuantileSketch, StreamingMoments};
-use std::collections::BinaryHeap;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::borrow::Cow;
+use std::ops::ControlFlow;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// How a campaign is executed. Everything that affects the *artifact's
@@ -95,8 +103,8 @@ impl Default for CampaignConfig {
 /// The distilled per-trial record that crosses the worker/aggregator
 /// channel. Near-fixed-size — the helper list is empty for every protocol
 /// except `MultiCastAdv`, where it holds at most one entry per node —
-/// so campaigns never hold meaningful per-trial data beyond the reorder
-/// buffer.
+/// so campaigns never hold meaningful per-trial data beyond the pool's
+/// reorder window.
 #[derive(Clone, Debug)]
 struct TrialMetrics {
     completion_slots: u64,
@@ -354,26 +362,6 @@ fn trial_spec(spec: &CampaignSpec, cfg: &CampaignConfig, g: u64) -> TrialSpec {
     .with_max_slots(cfg.max_slots.unwrap_or(cell.max_slots))
 }
 
-/// A `(global index, metrics)` pair ordered for a min-heap on the index.
-struct Pending(u64, TrialMetrics);
-
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0
-    }
-}
-impl Eq for Pending {}
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.0.cmp(&self.0) // reversed: BinaryHeap is a max-heap
-    }
-}
-
 /// The [`TrialOptions`] every campaign trial runs under: default engine
 /// plus the campaign's wall-clock opt-in.
 fn trial_options<'a>(cfg: &CampaignConfig) -> TrialOptions<'a> {
@@ -480,134 +468,200 @@ impl TrialSchedule {
     }
 }
 
-/// What the per-ingest callback of [`run_scheduled_trials`] tells the
-/// aggregator to do next.
-pub(crate) enum IngestControl {
-    /// Keep ingesting.
-    Continue,
-    /// Stop cleanly: drain nothing further, unwind the worker threads, and
-    /// report `stopped = true` (the kill hook and the shard worker's
-    /// lost-lease abandon path).
-    Stop,
+/// Every cell's checkpoint identity key ([`checkpoint_key`]) under `cfg`.
+pub(crate) fn cell_keys(spec: &CampaignSpec, cfg: &CampaignConfig) -> Vec<String> {
+    spec.cells
+        .iter()
+        .enumerate()
+        .map(|(c, cell)| {
+            let max_slots = cfg.max_slots.unwrap_or(cell.max_slots);
+            checkpoint_key(&spec.name, cfg.seed, c as u64, cell, max_slots)
+        })
+        .collect()
 }
 
-/// Per-ingest callback of [`run_scheduled_trials`]:
-/// `(cell, watermark, acc, simulated)` after every ingested trial.
-pub(crate) type OnIngest<'a> =
-    dyn FnMut(usize, u64, &CellAccumulator, u64) -> Result<IngestControl, ServiceError> + 'a;
-
-/// Outcome of [`run_scheduled_trials`].
-pub(crate) struct TrialsOutcome {
-    /// Trials simulated *and ingested* by this call.
-    pub(crate) simulated: u64,
-    /// Whether the callback stopped the run before the schedule drained.
-    pub(crate) stopped: bool,
+/// The one owner of a campaign's durable cell state, and the loop that
+/// drives its cells (see the module docs).
+pub(crate) struct CellKeeper<'a> {
+    pub(crate) cfg: CampaignConfig,
+    /// Per-cell identity keys ([`cell_keys`], or a shard plan's pinned
+    /// copy of them).
+    pub(crate) keys: Cow<'a, [String]>,
+    /// Where checkpoints live; `None` keeps none.
+    pub(crate) state_dir: Option<&'a Path>,
+    /// Boundary cadence on a cell's absolute watermark; 0 checkpoints only
+    /// at cell completion.
+    pub(crate) checkpoint_every: u64,
+    pub(crate) store: Option<&'a Store>,
 }
 
-/// The campaign engine's inner loop, shared by [`run_campaign_service`]
-/// and the shard worker ([`crate::shard`]): simulate every trial of the
-/// schedule across worker threads and ingest the metrics into
-/// `accs`/`watermarks` **strictly in ascending global-index order** (the
-/// positional-aggregation determinism mechanism — see the module docs).
-///
-/// `on_ingest(cell, watermark, acc, simulated)` runs after every ingested
-/// trial, in ingest order, on the aggregator thread. It is where callers
-/// hang checkpoint boundaries, kill hooks, lease heartbeats, and fencing;
-/// returning [`IngestControl::Stop`] or an error unwinds the worker
-/// threads promptly (their sends fail once the receiver drops).
-///
-/// `watermarks[c]` is set to `replicate + 1` as each trial of cell `c`
-/// lands.
-pub(crate) fn run_scheduled_trials(
-    spec: &CampaignSpec,
-    cfg: &CampaignConfig,
-    schedule: &TrialSchedule,
-    accs: &mut [CellAccumulator],
-    watermarks: &mut [u64],
-    on_ingest: &mut OnIngest<'_>,
-) -> Result<TrialsOutcome, ServiceError> {
-    let n = cfg.trials_per_cell;
-    let scheduled = schedule.trial_count();
+/// How [`CellKeeper::drive`] ended.
+pub(crate) enum Driven {
+    /// Every scheduled trial was simulated and ingested.
+    Complete { simulated: u64 },
+    /// The kill switch fired after `simulated` trials, right after that
+    /// trial's boundary checkpoint (if any) was written.
+    Killed { simulated: u64 },
+    /// The fence refused: the caller may no longer write this state.
+    Fenced,
+}
 
-    let threads = rcb_harness::resolve_threads(cfg.threads)
-        .min(scheduled.max(1) as usize)
-        .max(1);
+impl CellKeeper<'_> {
+    fn max_slots(&self, cell: &CellSpec) -> u64 {
+        self.cfg.max_slots.unwrap_or(cell.max_slots)
+    }
 
-    let next = AtomicU64::new(0);
-    // Bounded channel: workers stall rather than flood the aggregator, so
-    // the reorder buffer stays small even with a straggler trial.
-    let (tx, rx) = mpsc::sync_channel::<Pending>(1024);
+    /// Cell `c`'s resume point from its validated checkpoint: the
+    /// watermark and the state at it, or `(0, empty)` for a fresh cell or
+    /// without a state directory.
+    pub(crate) fn load(&self, c: usize) -> Result<(u64, CellAccumulator), ServiceError> {
+        let n = self.cfg.trials_per_cell;
+        let ckpt = match self.state_dir {
+            Some(dir) => load_cell_checkpoint(&checkpoint_path(dir, c), &self.keys[c], n)?,
+            None => None,
+        };
+        Ok(ckpt.map_or((0, CellAccumulator::new()), |k| (k.trials_done, k.state)))
+    }
 
-    let mut simulated = 0u64;
-    let mut stopped = false;
-    let mut cb_error: Option<ServiceError> = None;
+    /// Cell `c`'s complete state from the store, if it holds the cell at
+    /// this exact trial count.
+    pub(crate) fn lookup(
+        &self,
+        spec: &CampaignSpec,
+        c: usize,
+    ) -> Result<Option<CellAccumulator>, ServiceError> {
+        let Some(store) = self.store else {
+            return Ok(None);
+        };
+        let (cell, n) = (&spec.cells[c], self.cfg.trials_per_cell);
+        store.lookup_cell(
+            &spec.name,
+            self.cfg.seed,
+            c as u64,
+            cell,
+            self.max_slots(cell),
+            n,
+        )
+    }
 
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let next = &next;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= scheduled {
-                    break;
-                }
-                let g = schedule.trial(i);
-                let (r, tel) = run_trial_telemetry(&trial_spec(spec, cfg, g), trial_options(cfg));
-                if tx.send(Pending(g, TrialMetrics::new(&r, tel))).is_err() {
-                    return; // aggregator gone; shutting down
-                }
-            });
-        }
-        drop(tx);
+    /// Write cell `c`'s checkpoint at watermark `trials_done` (a no-op
+    /// without a state directory).
+    pub(crate) fn checkpoint(
+        &self,
+        spec: &CampaignSpec,
+        c: usize,
+        trials_done: u64,
+        state: &CellAccumulator,
+    ) -> Result<(), ServiceError> {
+        let Some(dir) = self.state_dir else {
+            return Ok(());
+        };
+        let ckpt = CellCheckpoint {
+            key: self.keys[c].clone(),
+            campaign: spec.name.clone(),
+            cell_index: c as u64,
+            seed: self.cfg.seed,
+            trials_done,
+            state: state.clone(),
+        };
+        write_checkpoint(dir, &ckpt)
+    }
 
-        // Aggregate strictly in claim order, which is ascending global-index
-        // order.
-        let mut heap: BinaryHeap<Pending> = BinaryHeap::new();
-        let mut order = (0..scheduled).map(|i| schedule.trial(i));
-        let mut want = order.next();
+    /// Publish completed cell `c` to the store (a no-op without one).
+    pub(crate) fn publish(
+        &self,
+        spec: &CampaignSpec,
+        c: usize,
+        state: &CellAccumulator,
+    ) -> Result<(), ServiceError> {
+        let Some(store) = self.store else {
+            return Ok(());
+        };
+        let (cell, n) = (&spec.cells[c], self.cfg.trials_per_cell);
+        let max_slots = self.max_slots(cell);
+        store.insert_cell(
+            &spec.name,
+            self.cfg.seed,
+            c as u64,
+            cell,
+            max_slots,
+            n,
+            state,
+        )?;
+        Ok(())
+    }
+
+    /// Simulate replicates `watermarks[c]..trials` of every cell `c` on the
+    /// ordered pool and ingest them into `accs`/`watermarks` **strictly in
+    /// ascending global-index order** (the positional-aggregation
+    /// determinism mechanism — see the module docs).
+    ///
+    /// After each ingested trial, in order: `fence(boundary)` decides
+    /// whether the caller may still write this state (`boundary` says a
+    /// checkpoint is due); a boundary — every `checkpoint_every` trials of
+    /// the cell's absolute watermark, plus cell completion — writes the
+    /// checkpoint; and the kill switch stops the run once `kill_after`
+    /// trials have been simulated. Killing after persistence is exactly a
+    /// hard kill between two checkpoint writes: whatever was ingested past
+    /// the last boundary is lost.
+    pub(crate) fn drive(
+        &self,
+        spec: &CampaignSpec,
+        accs: &mut [CellAccumulator],
+        watermarks: &mut [u64],
+        kill_after: Option<u64>,
+        fence: &mut dyn FnMut(bool) -> Result<bool, ServiceError>,
+    ) -> Result<Driven, ServiceError> {
+        let (cfg, n) = (&self.cfg, self.cfg.trials_per_cell);
+        let schedule = TrialSchedule::new(watermarks, n);
+        let scheduled = schedule.trial_count();
         let mut progress = Progress::new(cfg.progress, scheduled.max(1));
-        'ingest: for pending in rx.iter() {
-            heap.push(pending);
-            while want.is_some_and(|w| heap.peek().is_some_and(|p| p.0 == w)) {
-                let Pending(g, m) = heap.pop().expect("peeked");
+        let mut simulated = 0;
+        let stop = rcb_harness::run_ordered(
+            scheduled,
+            cfg.threads,
+            |i| {
+                let ts = trial_spec(spec, cfg, schedule.trial(i));
+                let (r, tel) = run_trial_telemetry(&ts, trial_options(cfg));
+                TrialMetrics::new(&r, tel)
+            },
+            |i, m| {
+                let g = schedule.trial(i);
                 let c = (g / n) as usize;
                 accs[c].push(&m);
                 watermarks[c] = g % n + 1;
                 simulated += 1;
-                want = order.next();
                 progress.tick(spec, cfg, g, &m, simulated, scheduled);
-                match on_ingest(c, watermarks[c], &accs[c], simulated) {
-                    Ok(IngestControl::Continue) => {}
-                    Ok(IngestControl::Stop) => {
-                        stopped = true;
-                        break 'ingest;
-                    }
-                    Err(e) => {
-                        cb_error = Some(e);
-                        break 'ingest;
+                let w = watermarks[c];
+                let boundary = w == n
+                    || (self.checkpoint_every > 0 && w.is_multiple_of(self.checkpoint_every));
+                match fence(boundary) {
+                    Ok(true) => {}
+                    Ok(false) => return ControlFlow::Break(Ok(Driven::Fenced)),
+                    Err(e) => return ControlFlow::Break(Err(e)),
+                }
+                if boundary {
+                    if let Err(e) = self.checkpoint(spec, c, w, &accs[c]) {
+                        return ControlFlow::Break(Err(e));
                     }
                 }
-            }
+                if kill_after.is_some_and(|k| simulated >= k) {
+                    return ControlFlow::Break(Ok(Driven::Killed { simulated }));
+                }
+                ControlFlow::Continue(())
+            },
+        );
+        match stop {
+            ControlFlow::Break(driven) => driven,
+            ControlFlow::Continue(()) => Ok(Driven::Complete { simulated }),
         }
-        // Dropping the receiver makes every blocked worker's send fail, so
-        // the scope joins promptly on the stop/error paths.
-        drop(rx);
-        if !stopped && cb_error.is_none() {
-            assert!(want.is_none(), "aggregator lost trials");
-        }
-    });
-
-    if let Some(e) = cb_error {
-        return Err(e);
     }
-    Ok(TrialsOutcome { simulated, stopped })
 }
 
 /// Assemble the final artifact from the filled per-cell accumulators.
 pub(crate) fn assemble_report(
     spec: &CampaignSpec,
     cfg: &CampaignConfig,
-    total: u64,
     accs: &[CellAccumulator],
 ) -> CampaignReport {
     CampaignReport {
@@ -616,7 +670,7 @@ pub(crate) fn assemble_report(
         code_version: code_version().to_string(),
         seed: cfg.seed,
         trials_per_cell: cfg.trials_per_cell,
-        total_trials: total,
+        total_trials: spec.cells.len() as u64 * cfg.trials_per_cell,
         cells: spec
             .cells
             .iter()
@@ -734,7 +788,8 @@ pub enum ServiceRun {
 /// assembled at the end is byte-identical to an uninterrupted run's.
 ///
 /// # Errors
-/// Any checkpoint/store file that is unreadable, corrupt (checksum),
+/// Flag misuse, as [`validate_service_flags`] words it. Any
+/// checkpoint/store file that is unreadable, corrupt (checksum),
 /// truncated, from a different schema version, or inconsistent with the
 /// requested campaign is a [`ServiceError`] naming the file — never a
 /// panic, never a silent recompute-from-zero.
@@ -748,12 +803,16 @@ pub fn run_campaign_service(
 ) -> Result<ServiceRun, ServiceError> {
     assert!(!spec.cells.is_empty(), "campaign has no cells");
     assert!(cfg.trials_per_cell > 0, "campaign needs at least one trial");
-    if svc.resume && svc.state_dir.is_none() {
-        return Err(ServiceError::msg("--resume requires --state-dir"));
-    }
+    validate_service_flags(svc, None)?;
     let n = cfg.trials_per_cell;
-    let total = spec.cells.len() as u64 * n;
     let store = svc.store_dir.as_deref().map(Store::new);
+    let keeper = CellKeeper {
+        cfg: cfg.clone(),
+        keys: Cow::Owned(cell_keys(spec, cfg)),
+        state_dir: svc.state_dir.as_deref(),
+        checkpoint_every: svc.checkpoint_every,
+        store: store.as_ref(),
+    };
 
     let mut accs: Vec<CellAccumulator> =
         spec.cells.iter().map(|_| CellAccumulator::new()).collect();
@@ -763,114 +822,44 @@ pub fn run_campaign_service(
     let mut store_hits = 0u64;
     let mut resumed_trials = 0u64;
 
-    for (c, cell) in spec.cells.iter().enumerate() {
-        let max_slots = cfg.max_slots.unwrap_or(cell.max_slots);
+    for c in 0..spec.cells.len() {
         // Warm store first: a hit covers the whole cell at this exact
         // trial count, so neither simulation nor checkpoints are needed.
-        if let Some(store) = &store {
-            if let Some(state) =
-                store.lookup_cell(&spec.name, cfg.seed, c as u64, cell, max_slots, n)?
-            {
-                accs[c] = state;
-                watermarks[c] = n;
-                from_store[c] = true;
-                store_hits += 1;
-                continue;
-            }
-        }
-        if svc.resume {
-            let dir = svc.state_dir.as_ref().expect("resume requires state_dir");
-            let path = crate::checkpoint::checkpoint_path(dir, c);
-            if let Some(ckpt) = load_checkpoint(&path)? {
-                let key = checkpoint_key(&spec.name, cfg.seed, c as u64, cell, max_slots);
-                if ckpt.key != key {
-                    return Err(ServiceError::at(
-                        &path,
-                        format!(
-                            "checkpoint belongs to a different cell configuration \
-                             (key {} vs expected {key}); move or delete the state directory",
-                            ckpt.key
-                        ),
-                    ));
-                }
-                if ckpt.trials_done > n {
-                    return Err(ServiceError::at(
-                        &path,
-                        format!(
-                            "checkpoint watermark {} exceeds the requested {n} trials; \
-                             trials can grow incrementally but never shrink",
-                            ckpt.trials_done
-                        ),
-                    ));
-                }
-                resumed_trials += ckpt.trials_done;
-                watermarks[c] = ckpt.trials_done;
-                accs[c] = ckpt.state;
-            }
+        if let Some(state) = keeper.lookup(spec, c)? {
+            accs[c] = state;
+            watermarks[c] = n;
+            from_store[c] = true;
+            store_hits += 1;
+        } else if svc.resume {
+            (watermarks[c], accs[c]) = keeper.load(c)?;
+            resumed_trials += watermarks[c];
         }
     }
 
-    // Workers claim one remaining trial at a time; a resumed cell's first
-    // claim is its watermark.
-    let schedule = TrialSchedule::new(&watermarks, n);
-
-    // Boundary checkpoint: every `checkpoint_every` trials of the cell's
-    // absolute watermark, plus cell completion. The kill hook fires
-    // *after* boundary persistence, exactly like a hard kill between two
-    // checkpoint writes: whatever was ingested past the last boundary is
-    // simply lost.
-    let mut on_ingest = |c: usize, w: u64, acc: &CellAccumulator, simulated: u64| {
-        let boundary =
-            w == n || (svc.checkpoint_every > 0 && w.is_multiple_of(svc.checkpoint_every));
-        if boundary {
-            if let Some(dir) = svc.state_dir.as_ref() {
-                let cell = &spec.cells[c];
-                let max_slots = cfg.max_slots.unwrap_or(cell.max_slots);
-                let ckpt = CellCheckpoint {
-                    key: checkpoint_key(&spec.name, cfg.seed, c as u64, cell, max_slots),
-                    campaign: spec.name.clone(),
-                    cell_index: c as u64,
-                    seed: cfg.seed,
-                    trials_done: w,
-                    state: acc.clone(),
-                };
-                write_checkpoint(dir, &ckpt)?;
-            }
-        }
-        if svc.kill_after_trials.is_some_and(|k| simulated >= k) {
-            return Ok(IngestControl::Stop);
-        }
-        Ok(IngestControl::Continue)
-    };
-    let outcome = run_scheduled_trials(
+    let simulated = match keeper.drive(
         spec,
-        cfg,
-        &schedule,
         &mut accs,
         &mut watermarks,
-        &mut on_ingest,
-    )?;
-    let simulated = outcome.simulated;
-    if outcome.stopped {
-        return Ok(ServiceRun::Killed {
-            simulated_trials: simulated,
-        });
-    }
+        svc.kill_after_trials,
+        &mut |_| Ok(true),
+    )? {
+        Driven::Complete { simulated } => simulated,
+        Driven::Killed { simulated } => {
+            return Ok(ServiceRun::Killed {
+                simulated_trials: simulated,
+            })
+        }
+        Driven::Fenced => unreachable!("the service's fence always passes"),
+    };
 
     // Populate the store with every cell this run computed (cells served
     // *from* the store are already there).
-    if let Some(store) = &store {
-        for (c, cell) in spec.cells.iter().enumerate() {
-            if from_store[c] {
-                continue;
-            }
-            let max_slots = cfg.max_slots.unwrap_or(cell.max_slots);
-            store.insert_cell(&spec.name, cfg.seed, c as u64, cell, max_slots, n, &accs[c])?;
-        }
+    for c in (0..spec.cells.len()).filter(|&c| !from_store[c]) {
+        keeper.publish(spec, c, &accs[c])?;
     }
 
     Ok(ServiceRun::Complete {
-        report: assemble_report(spec, cfg, total, &accs),
+        report: assemble_report(spec, cfg, &accs),
         store_hits,
         resumed_trials,
         simulated_trials: simulated,
@@ -942,7 +931,7 @@ pub fn run_campaign_traced(
     }
     writer.finish()?;
 
-    Ok(assemble_report(spec, cfg, total, &accs))
+    Ok(assemble_report(spec, cfg, &accs))
 }
 
 #[cfg(test)]
@@ -1052,6 +1041,18 @@ mod tests {
         let err = validate_service_flags(&svc, None).expect_err("kill after 0");
         assert!(
             err.to_string().starts_with("--max-trials-then-exit:"),
+            "missing flag context: {err}"
+        );
+
+        // The library entry point runs the same check, in the same words.
+        let svc = ServiceConfig {
+            resume: true,
+            ..Default::default()
+        };
+        let err = run_campaign_service(&tiny_spec(), &CampaignConfig::default(), &svc)
+            .expect_err("library resume without state dir");
+        assert!(
+            err.to_string().starts_with("--resume:"),
             "missing flag context: {err}"
         );
 

@@ -36,6 +36,13 @@
 //!   stream is valid state, the next worker simply re-runs the tail, and
 //!   [`shard_merge`] refuses anything short of `trials`.
 //!
+//! Cell state is not this module's. A claimed cell is resumed, simulated,
+//! checkpointed and published by the campaign engine's `CellKeeper` — the
+//! code `rcb run --state-dir` runs — with the lease injected as the drive
+//! loop's fence. This module keeps the lease steps only: claim, heartbeat,
+//! the ownership fence, release, the re-read that finds a cell already
+//! finished, and writing a store hit as the cell's final checkpoint.
+//!
 //! Determinism does the heavy lifting: because every worker computes the
 //! *same* replicate stream for a cell and ingests it in the same order,
 //! double-computation (two workers racing one cell) wastes time but can
@@ -45,18 +52,18 @@
 //! that with `cmp`.
 
 use crate::checkpoint::{
-    as_arr, as_str, as_u64, checkpoint_path, fnv1a64, get, load_checkpoint, write_atomic,
-    write_checkpoint, CellCheckpoint, ServiceError, FNV_BASIS,
+    as_arr, as_str, as_u64, checkpoint_path, fnv1a64, get, write_atomic, ServiceError, FNV_BASIS,
 };
 use crate::engine::{
-    assemble_report, run_scheduled_trials, CampaignConfig, CellAccumulator, IngestControl,
-    TrialSchedule,
+    assemble_report, cell_keys, validate_service_flags, CampaignConfig, CellAccumulator,
+    CellKeeper, Driven, ServiceConfig,
 };
 use crate::json::Json;
 use crate::jsonin;
 use crate::report::CampaignReport;
 use crate::scenario::CampaignSpec;
-use crate::store::{checkpoint_key, hash128, store_key, Store};
+use crate::store::{hash128, store_key, Store};
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -99,8 +106,8 @@ pub struct ShardPlan {
     pub checkpoint_every: u64,
     /// A lease whose heartbeat is older than this is stealable.
     pub stale_after_ms: u64,
-    /// Per-cell identity keys ([`checkpoint_key`]); workers and merge
-    /// validate their freshly computed keys against these.
+    /// Per-cell identity keys ([`crate::store::checkpoint_key`]); workers
+    /// and merge validate their freshly computed keys against these.
     pub cell_keys: Vec<String>,
     /// Content-addressed store completed cells are published to, if any.
     pub store_dir: Option<PathBuf>,
@@ -122,6 +129,24 @@ impl ShardPlan {
             max_slots: self.max_slots,
             progress: false,
             telemetry: false,
+        }
+    }
+
+    /// The keeper of this plan's cells under `state_dir`, with the plan's
+    /// pinned identity keys and checkpoint cadence; `threads` only sets how
+    /// many trials run at once.
+    pub(crate) fn keeper<'a>(
+        &'a self,
+        state_dir: &'a Path,
+        store: Option<&'a Store>,
+        threads: usize,
+    ) -> CellKeeper<'a> {
+        CellKeeper {
+            cfg: self.campaign_config(threads),
+            keys: Cow::Borrowed(&self.cell_keys),
+            state_dir: Some(state_dir),
+            checkpoint_every: self.checkpoint_every,
+            store,
         }
     }
 
@@ -150,10 +175,8 @@ impl ShardPlan {
                 ),
             ));
         }
-        for (c, cell) in spec.cells.iter().enumerate() {
-            let max_slots = self.max_slots.unwrap_or(cell.max_slots);
-            let key = checkpoint_key(&self.campaign, self.seed, c as u64, cell, max_slots);
-            if key != self.cell_keys[c] {
+        for (c, key) in cell_keys(spec, &self.campaign_config(0)).iter().enumerate() {
+            if *key != self.cell_keys[c] {
                 return Err(ServiceError::at(
                     plan_path,
                     format!(
@@ -361,15 +384,6 @@ pub fn write_plan(
         return Err(ServiceError::msg("campaign has no cells"));
     }
     std::fs::create_dir_all(state_dir).map_err(|e| ServiceError::at(state_dir, e.to_string()))?;
-    let cell_keys: Vec<String> = spec
-        .cells
-        .iter()
-        .enumerate()
-        .map(|(c, cell)| {
-            let max_slots = cfg.max_slots.unwrap_or(cell.max_slots);
-            checkpoint_key(&spec.name, cfg.seed, c as u64, cell, max_slots)
-        })
-        .collect();
     let mut plan = ShardPlan {
         plan_id: String::new(),
         campaign: spec.name.clone(),
@@ -378,7 +392,7 @@ pub fn write_plan(
         max_slots: cfg.max_slots,
         checkpoint_every: opts.checkpoint_every,
         stale_after_ms: opts.stale_after_ms,
-        cell_keys,
+        cell_keys: cell_keys(spec, cfg),
         store_dir: opts.store_dir.clone(),
     };
     plan.plan_id = hash128(&plan_identity(&plan));
@@ -717,32 +731,7 @@ pub struct CellStatus {
 
 /// Validated checkpoint watermark of one cell (0 when no checkpoint).
 fn cell_watermark(state_dir: &Path, plan: &ShardPlan, cell: usize) -> Result<u64, ServiceError> {
-    let path = checkpoint_path(state_dir, cell);
-    match load_checkpoint(&path)? {
-        None => Ok(0),
-        Some(ckpt) => {
-            if ckpt.key != plan.cell_keys[cell] {
-                return Err(ServiceError::at(
-                    &path,
-                    format!(
-                        "checkpoint belongs to a different cell configuration (key {} vs the \
-                         plan's {}); move or delete the state directory",
-                        ckpt.key, plan.cell_keys[cell]
-                    ),
-                ));
-            }
-            if ckpt.trials_done > plan.trials_per_cell {
-                return Err(ServiceError::at(
-                    &path,
-                    format!(
-                        "checkpoint watermark {} exceeds the plan's {} trials",
-                        ckpt.trials_done, plan.trials_per_cell
-                    ),
-                ));
-            }
-            Ok(ckpt.trials_done)
-        }
-    }
+    Ok(plan.keeper(state_dir, None, 0).load(cell)?.0)
 }
 
 /// Scan every cell's scheduler state. Pure read: never claims, steals, or
@@ -854,12 +843,11 @@ pub fn shard_work(
             opts.worker_id
         )));
     }
-    if opts.max_trials == Some(0) {
-        return Err(ServiceError::msg(
-            "--max-trials-then-exit: must be at least 1 (the hook fires after a trial is \
-             ingested, so 0 can never trigger)",
-        ));
-    }
+    let kill_switch = ServiceConfig {
+        kill_after_trials: opts.max_trials,
+        ..ServiceConfig::default()
+    };
+    validate_service_flags(&kill_switch, None)?;
     let plan = load_plan(state_dir)?;
     plan.validate_spec(spec, &plan_path(state_dir))?;
     let n = plan.trials_per_cell;
@@ -980,53 +968,18 @@ fn claim_step(
     if !try_claim(state_dir, &lease)? {
         return Ok(ClaimStep::Skipped); // lost the claim race
     }
-    match drive_cell(
-        spec,
-        plan,
-        state_dir,
-        store,
-        c,
-        &lease,
-        opts,
-        tally.trials_simulated,
-    )? {
-        Drive::Completed { simulated, warm } => {
-            tally.trials_simulated += simulated;
-            tally.cells_completed += 1;
-            tally.store_hits += warm as u64;
-        }
-        Drive::Killed { simulated } => {
-            return Ok(ClaimStep::Killed {
-                trials_simulated: tally.trials_simulated + simulated,
-            });
-        }
-        // Lease lost (partial state discarded), or another worker had
-        // already finished the cell: nothing of it is this worker's.
-        Drive::Abandoned | Drive::AlreadyDone => {}
-    }
-    Ok(ClaimStep::Worked)
+    drive_cell(spec, plan, state_dir, store, c, &lease, opts, tally)
 }
 
-enum Drive {
-    Completed {
-        simulated: u64,
-        warm: bool,
-    },
-    Killed {
-        simulated: u64,
-    },
-    Abandoned,
-    /// The checkpoint loaded under the lease was already complete: another
-    /// worker finished the cell between the scan and the claim.
-    AlreadyDone,
-}
-
-/// Drive one claimed cell from its checkpoint watermark to `n`,
-/// checkpointing at the plan's cadence with ownership verified before
-/// every write, heartbeating on a `stale_after/4` cadence from a scoped
-/// thread while the trials run, honouring the kill switch, and publishing
-/// the completed cell to the store. Releases the lease on completion;
-/// leaves it on kill; the lease is already gone on abandon.
+/// Drive one claimed cell from its checkpoint watermark to `n` through the
+/// plan's [`CellKeeper`], with the lease as its fence: ownership is
+/// verified before every checkpoint write, and a scoped thread heartbeats
+/// on a `stale_after/4` cadence while the trials run. The kill switch
+/// counts this worker's trials across cells (`tally`). A store hit is
+/// written as the cell's final checkpoint. Releases the lease on
+/// completion; leaves it on kill; the lease is already gone on abandon.
+/// Only a cell this call completes is counted: one found finished under
+/// the lease, or lost to a thief, is not.
 #[allow(clippy::too_many_arguments)]
 fn drive_cell(
     spec: &CampaignSpec,
@@ -1036,65 +989,27 @@ fn drive_cell(
     c: usize,
     lease: &Lease,
     opts: &WorkerOptions,
-    already_simulated: u64,
-) -> Result<Drive, ServiceError> {
+    tally: &mut Tally,
+) -> Result<ClaimStep, ServiceError> {
     let n = plan.trials_per_cell;
-    let cfg = plan.campaign_config(opts.threads);
-    let cell = &spec.cells[c];
-    let max_slots = plan.max_slots.unwrap_or(cell.max_slots);
-
-    // Resume point: the validated checkpoint, if any.
-    let path = checkpoint_path(state_dir, c);
-    let mut acc = CellAccumulator::new();
-    let mut watermark = 0u64;
-    if let Some(ckpt) = load_checkpoint(&path)? {
-        // cell_watermark validated key and range during the scan, but the
-        // file may have changed since; re-validate on the copy we use.
-        if ckpt.key != plan.cell_keys[c] {
-            return Err(ServiceError::at(
-                &path,
-                format!(
-                    "checkpoint belongs to a different cell configuration (key {} vs the plan's \
-                     {})",
-                    ckpt.key, plan.cell_keys[c]
-                ),
-            ));
-        }
-        watermark = ckpt.trials_done.min(n);
-        acc = ckpt.state;
+    let keeper = plan.keeper(state_dir, store, opts.threads);
+    // Resume point, re-read under the lease: the scan's view may be stale.
+    let (watermark, acc) = keeper.load(c)?;
+    if watermark >= n {
+        release_lease(state_dir, lease)?;
+        return Ok(ClaimStep::Worked);
     }
 
     // Warm store hit: the whole cell already exists content-addressed;
     // materialize it as a final checkpoint and skip simulation entirely.
-    if watermark < n {
-        if let Some(store) = store {
-            if let Some(state) =
-                store.lookup_cell(&plan.campaign, plan.seed, c as u64, cell, max_slots, n)?
-            {
-                let ckpt = CellCheckpoint {
-                    key: plan.cell_keys[c].clone(),
-                    campaign: plan.campaign.clone(),
-                    cell_index: c as u64,
-                    seed: plan.seed,
-                    trials_done: n,
-                    state,
-                };
-                if still_owner(state_dir, lease)? {
-                    write_checkpoint(state_dir, &ckpt)?;
-                    release_lease(state_dir, lease)?;
-                    return Ok(Drive::Completed {
-                        simulated: 0,
-                        warm: true,
-                    });
-                }
-                return Ok(Drive::Abandoned);
-            }
+    if let Some(state) = keeper.lookup(spec, c)? {
+        if still_owner(state_dir, lease)? {
+            keeper.checkpoint(spec, c, n, &state)?;
+            release_lease(state_dir, lease)?;
+            tally.cells_completed += 1;
+            tally.store_hits += 1;
         }
-    }
-
-    if watermark >= n {
-        release_lease(state_dir, lease)?;
-        return Ok(Drive::AlreadyDone);
+        return Ok(ClaimStep::Worked);
     }
 
     // Only this cell gets trials: every other cell's watermark is pinned
@@ -1105,13 +1020,13 @@ fn drive_cell(
     let mut watermarks: Vec<u64> = vec![n; spec.cells.len()];
     accs[c] = acc;
     watermarks[c] = watermark;
-    let schedule = TrialSchedule::new(&watermarks, cfg.trials_per_cell);
 
+    let kill_after = opts
+        .max_trials
+        .map(|k| k.saturating_sub(tally.trials_simulated));
     let beat_every = Duration::from_millis((plan.stale_after_ms / 4).max(1));
     let lost = AtomicBool::new(false);
-    let mut abandoned = false;
-    let mut killed = false;
-    let outcome = std::thread::scope(|scope| {
+    let driven = std::thread::scope(|scope| {
         // The heartbeat runs beside the trials, not between ingests: one
         // trial can outlast the staleness window. It stops (and the kill
         // path leaves the lease to go stale) once `stop` is dropped.
@@ -1130,80 +1045,33 @@ fn drive_cell(
                 return beat.map(|_| ());
             }
         });
-        let mut on_ingest = |cell_idx: usize, w: u64, acc: &CellAccumulator, simulated: u64| {
-            debug_assert_eq!(cell_idx, c, "worker drives exactly one cell");
-            if lost.load(Ordering::SeqCst) {
-                abandoned = true;
-                return Ok(IngestControl::Stop);
-            }
-            let boundary = w == n || w.is_multiple_of(plan.checkpoint_every);
-            if boundary {
-                // Cooperative fencing: never write a checkpoint for a cell
-                // we no longer own.
-                if !still_owner(state_dir, lease)? {
-                    abandoned = true;
-                    return Ok(IngestControl::Stop);
-                }
-                let ckpt = CellCheckpoint {
-                    key: plan.cell_keys[c].clone(),
-                    campaign: plan.campaign.clone(),
-                    cell_index: c as u64,
-                    seed: plan.seed,
-                    trials_done: w,
-                    state: acc.clone(),
-                };
-                write_checkpoint(state_dir, &ckpt)?;
-            }
-            if opts
-                .max_trials
-                .is_some_and(|k| already_simulated + simulated >= k)
-            {
-                killed = true;
-                return Ok(IngestControl::Stop);
-            }
-            Ok(IngestControl::Continue)
+        // Cooperative fencing: stop once the heartbeat lost the lease, and
+        // never write a checkpoint for a cell we no longer own.
+        let mut fence = |boundary: bool| {
+            Ok(!lost.load(Ordering::SeqCst) && (!boundary || still_owner(state_dir, lease)?))
         };
-        let outcome = run_scheduled_trials(
-            spec,
-            &cfg,
-            &schedule,
-            &mut accs,
-            &mut watermarks,
-            &mut on_ingest,
-        );
+        let driven = keeper.drive(spec, &mut accs, &mut watermarks, kill_after, &mut fence);
         drop(stop);
         let beat = beater.join().expect("the heartbeat thread does not panic");
-        beat.and(outcome)
+        beat.and(driven)
     })?;
 
-    if killed {
+    match driven {
         // Leave the lease in place: this models a hard death, and the
         // staleness clock is what hands the cell to a thief.
-        return Ok(Drive::Killed {
-            simulated: outcome.simulated,
-        });
+        Driven::Killed { simulated } => Ok(ClaimStep::Killed {
+            trials_simulated: tally.trials_simulated + simulated,
+        }),
+        // Lease lost: the partial state is discarded.
+        Driven::Fenced => Ok(ClaimStep::Worked),
+        Driven::Complete { simulated } => {
+            keeper.publish(spec, c, &accs[c])?;
+            release_lease(state_dir, lease)?;
+            tally.trials_simulated += simulated;
+            tally.cells_completed += 1;
+            Ok(ClaimStep::Worked)
+        }
     }
-    if abandoned {
-        return Ok(Drive::Abandoned);
-    }
-
-    // Completed: publish to the store, then release.
-    if let Some(store) = store {
-        store.insert_cell(
-            &plan.campaign,
-            plan.seed,
-            c as u64,
-            cell,
-            max_slots,
-            n,
-            &accs[c],
-        )?;
-    }
-    release_lease(state_dir, lease)?;
-    Ok(Drive::Completed {
-        simulated: outcome.simulated,
-        warm: false,
-    })
 }
 
 /// Remove our own lease. If a thief took it in the meantime (only possible
@@ -1247,60 +1115,40 @@ pub fn shard_merge(spec: &CampaignSpec, state_dir: &Path) -> Result<MergeOutcome
     let plan = load_plan(state_dir)?;
     plan.validate_spec(spec, &plan_path(state_dir))?;
     let n = plan.trials_per_cell;
+    let store = plan.store_dir.as_deref().map(Store::new);
+    let keeper = plan.keeper(state_dir, store.as_ref(), 0);
 
     let mut accs: Vec<CellAccumulator> = Vec::with_capacity(plan.cells());
     for c in 0..plan.cells() {
+        let (watermark, acc) = keeper.load(c)?;
         let path = checkpoint_path(state_dir, c);
-        let Some(ckpt) = load_checkpoint(&path)? else {
+        if watermark == 0 {
             return Err(ServiceError::at(
                 &path,
                 format!("cell {c} has no checkpoint yet (0/{n} trials); run `rcb shard work`"),
             ));
-        };
-        if ckpt.key != plan.cell_keys[c] {
+        }
+        if watermark != n {
             return Err(ServiceError::at(
                 &path,
                 format!(
-                    "checkpoint belongs to a different cell configuration (key {} vs the plan's \
-                     {})",
-                    ckpt.key, plan.cell_keys[c]
+                    "cell {c} is incomplete ({watermark}/{n} trials); a merge never bakes in a \
+                     partial cell — run `rcb shard work` until `rcb shard status` shows every \
+                     cell done"
                 ),
             ));
         }
-        if ckpt.trials_done != n {
-            return Err(ServiceError::at(
-                &path,
-                format!(
-                    "cell {c} is incomplete ({}/{n} trials); a merge never bakes in a partial \
-                     cell — run `rcb shard work` until `rcb shard status` shows every cell done",
-                    ckpt.trials_done
-                ),
-            ));
-        }
-        accs.push(ckpt.state);
+        accs.push(acc);
     }
-
-    let cfg = plan.campaign_config(0);
-    let total = plan.cells() as u64 * n;
-    let report = assemble_report(spec, &cfg, total, &accs);
+    let report = assemble_report(spec, &keeper.cfg, &accs);
 
     // Publish every cell (idempotent: re-inserting a key rewrites the same
     // bytes) and retire the planref — the plan is finished, so its keys
     // revert to the normal gc policy.
+    for (c, acc) in accs.iter().enumerate() {
+        keeper.publish(spec, c, acc)?;
+    }
     if let Some(store_dir) = &plan.store_dir {
-        let store = Store::new(store_dir.clone());
-        for (c, cell) in spec.cells.iter().enumerate() {
-            let max_slots = plan.max_slots.unwrap_or(cell.max_slots);
-            store.insert_cell(
-                &plan.campaign,
-                plan.seed,
-                c as u64,
-                cell,
-                max_slots,
-                n,
-                &accs[c],
-            )?;
-        }
         let refpath = planref_path(store_dir, &plan.plan_id);
         match std::fs::remove_file(&refpath) {
             Ok(()) => {}

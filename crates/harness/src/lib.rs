@@ -1,9 +1,14 @@
 //! # rcb-harness — parallel Monte-Carlo experiment runner
 //!
 //! Describes trials as plain data ([`TrialSpec`] = protocol × adversary ×
-//! topology × seed), runs them in parallel across CPU cores (std scoped
-//! threads; work-stealing over an atomic cursor), and distills each run
-//! into a [`TrialResult`].
+//! topology × seed), runs them in parallel across CPU cores, and distills
+//! each run into a [`TrialResult`].
+//!
+//! Every parallel run in the workspace goes through one pool,
+//! [`run_ordered`]: std scoped workers claim indices from an atomic cursor,
+//! and the results reach the caller strictly in index order, with an early
+//! stop. [`run_trials`] collects results with it; the campaign engine
+//! (`rcb-campaign`) aggregates, checkpoints and kills through it.
 //!
 //! The data-description layer exists so that sweeps are declarative: a
 //! workload is a list of `TrialSpec`s, and every trial is reproducible from
@@ -55,8 +60,8 @@ pub mod spec;
 
 pub use report::{sweep_by, SweepPoint};
 pub use runner::{
-    cell_trial_seed, resolve_threads, run_trial, run_trial_opts, run_trial_telemetry, run_trials,
-    TrialOptions, TrialResult,
+    cell_trial_seed, resolve_threads, run_ordered, run_trial, run_trial_opts, run_trial_telemetry,
+    run_trials, TrialOptions, TrialResult,
 };
 pub use spec::{
     AdversaryKind, ProtocolKind, ScheduleEventKind, ScheduleSpec, TopologyKind, TrialSpec,

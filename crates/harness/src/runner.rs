@@ -1,5 +1,6 @@
 //! Trial execution: build protocol + adversary from a spec, run the engine,
-//! and fan trials out across CPU cores.
+//! and fan trials out across CPU cores through one ordered pool
+//! ([`run_ordered`]).
 
 use crate::spec::{AdversaryKind, ProtocolKind, ScheduleEventKind, ScheduleSpec, TrialSpec};
 use rcb_adversary::{
@@ -15,6 +16,10 @@ use rcb_sim::{
     derive_seed, AdaptiveAdversary, Adversary, EngineConfig, EngineTelemetry, Eve, Observer,
     RunOutcome, ScheduleMarker, Simulation, WorldEvent, WorldSchedule,
 };
+use std::collections::VecDeque;
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc;
 
 /// The distilled result of one trial — everything the experiment reports
 /// need, small enough to collect by the thousands.
@@ -425,6 +430,64 @@ pub fn resolve_threads(requested: usize) -> usize {
         .unwrap_or(4)
 }
 
+/// Run `job(i)` for every `i` in `0..count` on `threads` scoped workers
+/// (resolved by [`resolve_threads`]) and hand each result to
+/// `sink(i, result)` on the calling thread **strictly in ascending `i`**,
+/// whatever order the workers finish in. Workers claim indices from an
+/// atomic cursor and send results through a bounded channel (they stall
+/// rather than flood the caller); results that arrive early wait in a
+/// reorder window. The fixed delivery order is what keeps an
+/// order-sensitive consumer, such as the campaign engine's floating-point
+/// aggregation, bit-identical at any thread count.
+///
+/// `sink` returning [`ControlFlow::Break`] stops the pool: nothing more is
+/// delivered, each worker finishes at most the job in hand, and the break
+/// value is returned once every worker has exited.
+pub fn run_ordered<T: Send, B>(
+    count: u64,
+    threads: usize,
+    job: impl Fn(u64) -> T + Sync,
+    mut sink: impl FnMut(u64, T) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    let threads = resolve_threads(threads).min(count.max(1) as usize);
+    let next = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        // Created inside the scope so that every return path drops the
+        // receiver before the scope joins: a worker blocked on a full
+        // channel then sees its send fail and exits.
+        let (tx, rx) = mpsc::sync_channel::<(u64, T)>(1024);
+        for _ in 0..threads {
+            let (tx, next, job) = (tx.clone(), &next, &job);
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= count || tx.send((i, job(i))).is_err() {
+                    return; // drained, or the caller stopped
+                }
+            });
+        }
+        drop(tx);
+        // Slot `k` holds result `want + k` once it has arrived.
+        let mut early: VecDeque<Option<T>> = VecDeque::new();
+        let mut want = 0;
+        for (i, result) in rx.iter() {
+            let k = (i - want) as usize;
+            if early.len() <= k {
+                early.resize_with(k + 1, || None);
+            }
+            early[k] = Some(result);
+            while let Some(result) = early.front_mut().and_then(Option::take) {
+                early.pop_front();
+                if let ControlFlow::Break(b) = sink(want, result) {
+                    return ControlFlow::Break(b);
+                }
+                want += 1;
+            }
+        }
+        assert_eq!(want, count, "a worker exited without delivering its result");
+        ControlFlow::Continue(())
+    })
+}
+
 /// Run many trials in parallel across `threads` workers (0 = `RCB_THREADS`
 /// if set, else one per available core). Results come back in spec order.
 ///
@@ -444,40 +507,17 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// assert!(results.iter().all(|r| r.completed && r.safety_violations == 0));
 /// ```
 pub fn run_trials(specs: &[TrialSpec], threads: usize) -> Vec<TrialResult> {
-    if specs.is_empty() {
-        return Vec::new();
-    }
-    let threads = resolve_threads(threads).min(specs.len());
-    if threads <= 1 {
-        return specs.iter().map(run_trial).collect();
-    }
-
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<TrialResult>>> = specs.iter().map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= specs.len() {
-                    break;
-                }
-                let result = run_trial(&specs[idx]);
-                *results[idx].lock().expect("result slot poisoned") = Some(result);
-            });
-        }
-    });
-
+    let mut results = Vec::with_capacity(specs.len());
+    let _ = run_ordered(
+        specs.len() as u64,
+        threads,
+        |i| run_trial(&specs[i as usize]),
+        |_, result| {
+            results.push(result);
+            ControlFlow::<()>::Continue(())
+        },
+    );
     results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every index was processed")
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -527,6 +567,38 @@ mod tests {
             assert_eq!(s.seed, p.seed, "order preserved");
             assert_eq!(s.slots, p.slots, "identical results per seed");
             assert_eq!(s.max_cost, p.max_cost);
+        }
+    }
+
+    /// A `Break` after `k` results stops the pool at 1 and at 4 threads:
+    /// the sink saw exactly `0..k` in order, the break value comes back,
+    /// and the call returns, so no worker was left blocked on the channel.
+    #[test]
+    fn ordered_pool_stops_at_a_break() {
+        for threads in [1, 4] {
+            let ran = AtomicU64::new(0);
+            let mut seen = Vec::new();
+            let stop = run_ordered(
+                100_000,
+                threads,
+                |i| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    i * 3
+                },
+                |i, x| {
+                    assert_eq!(x, i * 3, "result delivered with its own index");
+                    seen.push(i);
+                    if seen.len() == 7 {
+                        ControlFlow::Break(i)
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                },
+            );
+            assert_eq!(stop, ControlFlow::Break(6), "threads {threads}");
+            assert_eq!(seen, (0..7).collect::<Vec<_>>(), "threads {threads}");
+            let ran = ran.into_inner();
+            assert!(ran < 100_000, "the pool ran on past the break: {ran}");
         }
     }
 

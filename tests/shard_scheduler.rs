@@ -21,14 +21,20 @@
 //!   same store completes with **zero** simulated trials — the shard
 //!   path and the store compose.
 //!
+//! Two edges of the shared cell code are pinned too: the kill switch
+//! counts a worker's trials across its cells, and a checkpoint from
+//! another cell configuration is refused by the service and by every
+//! shard subcommand with the same message.
+//!
 //! The lease primitives themselves (double-claim impossibility,
 //! single-winner steal, heartbeat fencing, plan codec) are unit-tested in
 //! `crates/campaign/src/shard.rs`; this file covers the multi-worker
 //! end-to-end contract.
 
 use rcb::campaign::{
-    run_campaign, shard_merge, shard_status, shard_work, write_plan, CampaignConfig, CampaignSpec,
-    CellSpec, CellState, PlanOptions, WorkerOptions, WorkerOutcome,
+    checkpoint_path, run_campaign, run_campaign_service, shard_merge, shard_status, shard_work,
+    write_plan, CampaignConfig, CampaignSpec, CellSpec, CellState, PlanOptions, ServiceConfig,
+    ServiceError, ServiceRun, WorkerOptions, WorkerOutcome,
 };
 use rcb::harness::{AdversaryKind, ProtocolKind};
 use std::path::{Path, PathBuf};
@@ -224,6 +230,120 @@ fn killed_worker_is_stolen_from_and_merge_bytes_are_unchanged() {
         "steal-and-resume changed bytes"
     );
     assert_no_scheduler_residue(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The kill switch counts a worker's trials across its cells: at 2 trials
+/// per cell and `max_trials: Some(3)`, the worker completes cell 0, dies
+/// one trial into cell 1 with its lease in place, and the fleet still
+/// merges to the single-process bytes.
+#[test]
+fn kill_switch_counts_trials_across_a_workers_cells() {
+    let spec = spec();
+    let cfg = cfg(2);
+    let reference = run_campaign(&spec, &cfg).to_json();
+    let dir = scratch("kill-across");
+    let plan = write_plan(
+        &spec,
+        &cfg,
+        &dir,
+        &PlanOptions {
+            stale_after_ms: 60,
+            ..Default::default()
+        },
+    )
+    .expect("plan");
+
+    // A switch that can never fire is refused in the CLI's words.
+    let never = WorkerOptions {
+        max_trials: Some(0),
+        ..worker("doomed")
+    };
+    let err = shard_work(&spec, &dir, &never).expect_err("kill after 0 trials");
+    assert!(
+        err.to_string().starts_with("--max-trials-then-exit:"),
+        "{err}"
+    );
+
+    let dead = shard_work(
+        &spec,
+        &dir,
+        &WorkerOptions {
+            max_trials: Some(3),
+            ..worker("doomed")
+        },
+    )
+    .expect("killed worker");
+    assert!(
+        matches!(
+            dead,
+            WorkerOutcome::Killed {
+                trials_simulated: 3
+            }
+        ),
+        "{dead:?}"
+    );
+    let status = shard_status(&dir, &plan).expect("status");
+    assert_eq!((status[0].state, status[0].watermark), (CellState::Done, 2));
+    assert_eq!(status[1].owner.as_deref(), Some("doomed"));
+    assert_eq!(status[1].watermark, 1, "cell 1 died one trial in");
+    assert!(
+        matches!(status[1].state, CellState::Claimed | CellState::Stealable),
+        "{:?}",
+        status[1].state
+    );
+    assert_eq!(
+        (status[2].state, status[2].watermark),
+        (CellState::Available, 0)
+    );
+
+    run_fleet(&spec, &dir, 2);
+    let merged = shard_merge(&spec, &dir).expect("merge");
+    assert_eq!(merged.report.to_json(), reference, "kill across cells");
+    assert_no_scheduler_residue(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A state directory checkpointed under one seed is refused under another
+/// by every entry point that reads it — the service's resume and the shard
+/// plan's status, work and merge — each naming the checkpoint file.
+#[test]
+fn foreign_checkpoint_is_refused_at_every_entry_point() {
+    let spec = spec();
+    let dir = scratch("foreign");
+    let seed_a = cfg(2);
+    let state = ServiceConfig {
+        state_dir: Some(dir.clone()),
+        ..Default::default()
+    };
+    let first = run_campaign_service(&spec, &seed_a, &state).expect("seed A run");
+    assert!(matches!(first, ServiceRun::Complete { .. }), "{first:?}");
+
+    let seed_b = CampaignConfig {
+        seed: seed_a.seed + 1,
+        ..seed_a
+    };
+    let ckpt = checkpoint_path(&dir, 0).display().to_string();
+    let refused = |entry: &str, err: ServiceError| {
+        let msg = err.to_string();
+        assert!(
+            msg.starts_with(&ckpt) && msg.contains("different cell configuration"),
+            "{entry}: {msg}"
+        );
+    };
+    let resume = ServiceConfig {
+        resume: true,
+        ..state
+    };
+    let err = run_campaign_service(&spec, &seed_b, &resume).expect_err("resume under seed B");
+    refused("resume", err);
+    let plan = write_plan(&spec, &seed_b, &dir, &PlanOptions::default()).expect("plan seed B");
+    refused("status", shard_status(&dir, &plan).expect_err("status"));
+    refused(
+        "work",
+        shard_work(&spec, &dir, &worker("w")).expect_err("work"),
+    );
+    refused("merge", shard_merge(&spec, &dir).expect_err("merge"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
