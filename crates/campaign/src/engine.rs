@@ -100,8 +100,9 @@ impl Default for CampaignConfig {
     }
 }
 
-/// The distilled per-trial record that crosses the worker/aggregator
-/// channel. Near-fixed-size — the helper list is empty for every protocol
+/// The distilled per-trial record a worker hands to the aggregating
+/// calling thread (through the pool's channel, or directly at one
+/// worker). Near-fixed-size — the helper list is empty for every protocol
 /// except `MultiCastAdv`, where it holds at most one entry per node —
 /// so campaigns never hold meaningful per-trial data beyond the pool's
 /// reorder window.

@@ -7,8 +7,10 @@
 //! Every parallel run in the workspace goes through one pool,
 //! [`run_ordered`]: std scoped workers claim indices from an atomic cursor,
 //! and the results reach the caller strictly in index order, with an early
-//! stop. [`run_trials`] collects results with it; the campaign engine
-//! (`rcb-campaign`) aggregates, checkpoints and kills through it.
+//! stop. One worker runs inline: the calling thread runs the jobs itself,
+//! with no spawned thread or channel. [`run_trials`] collects results with
+//! it; the campaign engine (`rcb-campaign`) aggregates, checkpoints and
+//! kills through it.
 //!
 //! The data-description layer exists so that sweeps are declarative: a
 //! workload is a list of `TrialSpec`s, and every trial is reproducible from

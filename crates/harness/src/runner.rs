@@ -440,9 +440,14 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// order-sensitive consumer, such as the campaign engine's floating-point
 /// aggregation, bit-identical at any thread count.
 ///
+/// One worker runs inline: the calling thread runs `job(0)`, `job(1)`, …
+/// itself and hands each result straight to `sink`, with no spawned
+/// thread, channel or reorder window, so the delivery order is the same.
+///
 /// `sink` returning [`ControlFlow::Break`] stops the pool: nothing more is
 /// delivered, each worker finishes at most the job in hand, and the break
-/// value is returned once every worker has exited.
+/// value is returned once every worker has exited. Inline, no job runs
+/// after the one whose result broke.
 pub fn run_ordered<T: Send, B>(
     count: u64,
     threads: usize,
@@ -450,6 +455,12 @@ pub fn run_ordered<T: Send, B>(
     mut sink: impl FnMut(u64, T) -> ControlFlow<B>,
 ) -> ControlFlow<B> {
     let threads = resolve_threads(threads).min(count.max(1) as usize);
+    if threads == 1 {
+        for i in 0..count {
+            sink(i, job(i))?;
+        }
+        return ControlFlow::Continue(());
+    }
     let next = AtomicU64::new(0);
     std::thread::scope(|scope| {
         // Created inside the scope so that every return path drops the
@@ -599,6 +610,54 @@ mod tests {
             assert_eq!(seen, (0..7).collect::<Vec<_>>(), "threads {threads}");
             let ran = ran.into_inner();
             assert!(ran < 100_000, "the pool ran on past the break: {ran}");
+        }
+    }
+
+    /// One worker runs inline: every job on the caller's thread, results
+    /// in index order, and a `Break` after `k` results leaves exactly `k`
+    /// jobs run.
+    #[test]
+    fn one_worker_runs_inline_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ran = AtomicU64::new(0);
+        let mut seen = Vec::new();
+        let all = run_ordered(
+            50,
+            1,
+            |i| {
+                assert_eq!(std::thread::current().id(), caller, "job {i}");
+                ran.fetch_add(1, Ordering::Relaxed);
+                i
+            },
+            |i, x| {
+                assert_eq!(x, i);
+                seen.push(i);
+                ControlFlow::<()>::Continue(())
+            },
+        );
+        assert_eq!(all, ControlFlow::Continue(()));
+        assert_eq!(seen, (0..50).collect::<Vec<_>>());
+        assert_eq!(ran.swap(0, Ordering::Relaxed), 50);
+
+        for k in [1, 2, 7, 50] {
+            let stop = run_ordered(
+                50,
+                1,
+                |i| {
+                    assert_eq!(std::thread::current().id(), caller, "job {i}");
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    i
+                },
+                |i, _| {
+                    if i + 1 == k {
+                        ControlFlow::Break(i)
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                },
+            );
+            assert_eq!(stop, ControlFlow::Break(k - 1));
+            assert_eq!(ran.swap(0, Ordering::Relaxed), k, "break at {k}");
         }
     }
 

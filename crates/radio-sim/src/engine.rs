@@ -51,7 +51,10 @@
 //!    and truncates the request if she cannot afford it.
 //! 3. **Resolution**: per channel — silence / message / noise per the model
 //!    of Section 3 of the paper; listeners receive feedback in selection
-//!    order.
+//!    order. There is no resolve pass: each broadcast is tallied on the
+//!    [`ChannelBoard`] as it executes in step 1, so a single-hop listener's
+//!    feedback is one O(1) board lookup, and nothing is sorted unless an
+//!    adaptive Eve reads the band.
 //! 4. **Boundaries**: at a segment's end every active node runs its
 //!    end-of-segment checks and may halt.
 //!
@@ -272,8 +275,10 @@ impl SlotExec {
     }
 
     /// Charge `nid` one unit of energy for `action` (on a physical
-    /// channel) and register it with this slot.
-    #[inline]
+    /// channel) and register it with this slot. Forced inline: as a call,
+    /// it and the protocols' `on_selected` drop out of `run_core`, which
+    /// slows the topology cells that never touch the board.
+    #[inline(always)]
     fn execute(&mut self, nid: u32, action: Action) {
         match action {
             Action::Idle => {}
@@ -1017,9 +1022,6 @@ fn run_core<'e, P: Protocol>(
             exec.stats.jammed = take;
 
             // --- 4. Resolution: feedback to this slot's listeners -----------
-            if exec.use_board {
-                exec.board.resolve();
-            }
             // Dynamic topologies churn per round; key edges by the round's
             // starting slot.
             let round_key = slot - sub;
