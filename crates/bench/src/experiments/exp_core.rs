@@ -3,9 +3,8 @@
 //! This family runs on the **campaign engine** (`rcb-campaign`): each
 //! experiment declares a grid of [`CellSpec`]s, executes it with
 //! `run_campaign` (parallel, streaming aggregation, positional seed
-//! derivation), and renders its table from the per-cell reports. E4–E6
-//! (`exp_multicast.rs`) follow the same pattern; E7+ still drive
-//! `run_trials` directly (remaining port tracked in ROADMAP.md).
+//! derivation), and renders its table from the per-cell reports. Every
+//! other experiment family follows the same pattern.
 
 use super::{campaign, ci95_of, header};
 use crate::scale::Scale;

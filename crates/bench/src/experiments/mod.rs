@@ -15,7 +15,7 @@ use crate::scale::Scale;
 
 /// One reproducible experiment.
 pub struct Experiment {
-    /// Short id (`e1` … `e12`).
+    /// Short id (`e1` … `e18`).
     pub id: &'static str,
     /// Human title.
     pub title: &'static str,

@@ -416,7 +416,7 @@ pub fn run_bench(scenarios: &[Scenario], cfg: &BenchConfig) -> BenchReport {
     };
     let mut out = Vec::new();
     for scenario in scenarios {
-        let spec = (scenario.build)();
+        let spec = scenario.spec();
         let mut cells = Vec::new();
         for (ci, cell) in spec.cells.iter().enumerate() {
             let specs: Vec<TrialSpec> = (0..cfg.trials_per_cell)

@@ -17,7 +17,7 @@
 //!               [--max-slots M] [--checkpoint-every K]
 //!               [--stale-after-ms MS] [--store DIR]
 //! rcb shard work --state-dir DIR [--worker-id ID] [--threads K]
-//!               [--max-trials-then-exit N] [--poll-ms MS]
+//!               [--max-trials-then-exit N]
 //! rcb shard status --state-dir DIR
 //! rcb shard merge --state-dir DIR [--out FILE]
 //! rcb store list|show <key>|trend <key> <leaf>|gc [--store DIR]
@@ -27,7 +27,9 @@
 //!
 //! `run` takes either a catalog scenario name or `--spec FILE` — a
 //! declarative TOML/JSON campaign spec (cells, adversaries, topologies,
-//! world schedules; see `docs/NEMESIS.md`). Malformed spec files fail with
+//! world schedules; see `docs/NEMESIS.md`). A catalog scenario is the spec
+//! file `crates/campaign/scenarios/<name>.toml`, embedded at build time,
+//! so both forms give the same artifact. Malformed spec files fail with
 //! file/line/key context and exit code 2.
 //!
 //! `run` prints a human summary table to stdout and, with `--out`, writes
@@ -92,7 +94,7 @@ fn usage() -> ! {
          rcb shard plan <scenario> --state-dir DIR [--trials N] [--seed S] \
          [--max-slots M] [--checkpoint-every K] [--stale-after-ms MS] [--store DIR]\n  \
          rcb shard work --state-dir DIR [--worker-id ID] [--threads K] \
-         [--max-trials-then-exit N] [--poll-ms MS]\n  \
+         [--max-trials-then-exit N]\n  \
          rcb shard status --state-dir DIR\n  \
          rcb shard merge --state-dir DIR [--out FILE]\n  \
          rcb store list|show <key>|trend <key> <leaf>|gc [--store DIR]\n  \
@@ -146,7 +148,7 @@ fn main() {
 fn cmd_list() {
     println!("scenario catalog ({} entries):\n", registry().len());
     for s in registry() {
-        let cells = (s.build)().cells.len();
+        let cells = s.spec().cells.len();
         println!("  {:<18} {:>3} cells  {}", s.name, cells, s.summary);
     }
     println!("\nrun with: rcb run <scenario> --trials 1000 --out BENCH_<scenario>.json");
@@ -157,7 +159,7 @@ fn cmd_describe(name: &str) {
         eprintln!("unknown scenario: {name}");
         usage()
     };
-    print!("{}", describe_campaign(&(s.build)(), s.summary));
+    print!("{}", describe_campaign(&s.spec(), s.summary));
 }
 
 fn cmd_run(rest: &[String]) {
@@ -224,7 +226,7 @@ fn cmd_run(rest: &[String]) {
                 eprintln!("unknown scenario: {name}");
                 usage()
             };
-            (s.build)()
+            s.spec()
         }
         (None, Some(path)) => load_spec(path).unwrap_or_else(|e| {
             eprintln!("{e}");
@@ -385,6 +387,16 @@ fn cmd_bench(rest: &[String]) {
     if let Some(m) = explicit_max_slots {
         cfg.max_slots = Some(m);
     }
+    if cfg.trials_per_cell == 0 {
+        eprintln!("--trials: must be at least 1");
+        std::process::exit(2)
+    }
+    // A NaN or infinite floor is never met, so every cell would run to the
+    // repeat cap.
+    if !(cfg.min_wall_s.is_finite() && cfg.min_wall_s >= 0.0) {
+        eprintln!("--min-wall: must be a finite number of seconds >= 0");
+        std::process::exit(2)
+    }
 
     let scenarios: Vec<_> = if names.is_empty() {
         registry()
@@ -455,7 +467,7 @@ fn cmd_profile(name: &str, cell: &str, rest: &[String]) {
 /// verify the rebuild matches what was planned.
 fn shard_spec(plan: &rcb_campaign::ShardPlan) -> CampaignSpec {
     match find(&plan.campaign) {
-        Some(s) => (s.build)(),
+        Some(s) => s.spec(),
         None => {
             eprintln!(
                 "shard plan names campaign `{}`, which is not in the scenario catalog; shard \
@@ -498,7 +510,6 @@ fn cmd_shard(rest: &[String]) {
             "--worker-id" => worker_opts.worker_id = it.next().cloned().unwrap_or_else(|| usage()),
             "--threads" => worker_opts.threads = parse(arg, it.next()),
             "--max-trials-then-exit" => worker_opts.max_trials = Some(parse(arg, it.next())),
-            "--poll-ms" => worker_opts.poll_ms = parse(arg, it.next()),
             "--out" => out_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
             bare if !bare.starts_with('-') && name.is_none() => name = Some(bare.to_string()),
             _ => {
@@ -522,7 +533,7 @@ fn cmd_shard(rest: &[String]) {
                 eprintln!("unknown scenario: {name}");
                 usage()
             };
-            let spec = (s.build)();
+            let spec = s.spec();
             let plan = write_plan(&spec, &cfg, &state_dir, &plan_opts).unwrap_or_else(|e| fail(e));
             println!(
                 "plan {} in {}: campaign {} ({} cells x {} trials), seed {}, \

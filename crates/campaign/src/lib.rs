@@ -3,12 +3,15 @@
 //! Turns the per-trial harness (`rcb-harness`) into a production workload
 //! driver:
 //!
-//! * [`scenario`] — a **registry of named scenarios**: declarative campaign
-//!   specs (protocol grid × adversary grid × topology × n/T sweep) covering
-//!   the core reproduction, unknown-`n`, limited channels, adaptive-jammer
-//!   proxies, Gilbert–Elliott bursty noise, sweeping interference, baseline
-//!   races, scaling ladders, and multi-hop topology families. Adding a
-//!   workload is one ~30-line registry entry.
+//! * [`scenario`] — a **registry of named scenarios**, each a TOML spec
+//!   file under `crates/campaign/scenarios/` (protocol × adversary ×
+//!   topology × schedule cells, with sweep axes as arrays) embedded at
+//!   build time and parsed by [`specfile`], the `rcb run --spec` loader.
+//!   The files cover the core reproduction, unknown-`n`, limited channels,
+//!   adaptive-jammer proxies, Gilbert–Elliott bursty noise, sweeping
+//!   interference, baseline races, scaling ladders, multi-hop topology
+//!   families and nemesis fault injection. Adding a workload is one file
+//!   plus one registry line.
 //! * [`engine`] — a **parallel campaign runner** that shards trials across
 //!   cores with positional seed derivation
 //!   (`cell_trial_seed(campaign_seed, cell, replicate)`) and strict-order
@@ -52,7 +55,7 @@
 //! rcb describe core-repro
 //! rcb run core-repro --trials 1000 --seed 1 --out BENCH_core.json
 //! rcb run core-repro --trials 2 --trace-out trace.jsonl
-//! rcb run --spec docs/examples/nemesis.toml --trials 100
+//! rcb run --spec crates/campaign/scenarios/nemesis.toml --trials 100
 //! rcb bench --quick --out BENCH_engine.json
 //! rcb profile epidemic-race 2 --trials 3
 //! rcb diff BENCH_engine.json new.json --threshold 0.5

@@ -56,7 +56,7 @@ pub fn profile_cell(
     if cfg.trials == 0 {
         return Err("profile needs at least one trial".into());
     }
-    let spec = (scenario.build)();
+    let spec = scenario.spec();
     let Some(cell) = spec.cells.get(cell_index) else {
         return Err(format!(
             "scenario `{}` has cells 0..={}, got {cell_index} (see `rcb describe {}`)",

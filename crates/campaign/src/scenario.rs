@@ -1,11 +1,17 @@
-//! The scenario catalog: named, declarative campaign specs.
+//! The scenario catalog: named campaign specs, kept as data.
 //!
-//! A **scenario** is a named recipe that expands into a [`CampaignSpec`] —
-//! a flat list of [`CellSpec`]s (protocol × adversary × engine cap). The
-//! campaign engine runs every cell for the requested number of trials and
-//! aggregates each cell independently, so adding a workload to the catalog
-//! is ~30 lines of grid-building here rather than a bespoke experiment
-//! file.
+//! A **scenario** is a named [`CampaignSpec`] — a flat list of
+//! [`CellSpec`]s (protocol × adversary × topology × schedule × engine cap).
+//! The campaign engine runs every cell for the requested number of trials
+//! and aggregates each cell independently.
+//!
+//! Each entry's spec is a TOML file under `crates/campaign/scenarios/`,
+//! embedded into the binary at build time and read by the same loader as
+//! `rcb run --spec` ([`parse_spec`]), so `rcb run nemesis` and
+//! `rcb run --spec crates/campaign/scenarios/nemesis.toml` are one
+//! campaign. A sweep is written as arrays on `[[cell]]` keys, which expand
+//! into their cross product (see [`crate::specfile`]). Adding a workload
+//! is one file plus one catalog line.
 //!
 //! The registry covers the reproduction's core claims plus the scenario-
 //! diversity axis motivated by the adaptive-adversary follow-up
@@ -13,8 +19,8 @@
 //! jammers, bursty environmental noise, sweeping interference, baseline
 //! races, and scaling ladders.
 
-use rcb_core::{AdvParams, McParams};
-use rcb_harness::{AdversaryKind, ProtocolKind, ScheduleEventKind, ScheduleSpec, TopologyKind};
+use crate::specfile::parse_spec;
+use rcb_harness::{AdversaryKind, ProtocolKind, ScheduleSpec, TopologyKind};
 
 /// One aggregation cell of a campaign: a protocol/adversary/topology
 /// triple run for many seeds. Everything the engine needs to build a
@@ -92,11 +98,11 @@ pub struct CampaignSpec {
     pub cells: Vec<CellSpec>,
 }
 
-/// A catalog entry: a named scenario and the recipe that expands it.
+/// A catalog entry: a named scenario and its embedded spec file.
 ///
 /// ```
 /// let scenario = rcb_campaign::find("adaptive-grid").expect("registered");
-/// let spec = (scenario.build)();
+/// let spec = scenario.spec();
 /// assert_eq!(spec.name, "adaptive-grid");
 /// assert!(spec.cells.len() >= 11, "w x c grid plus threshold cells");
 /// ```
@@ -104,90 +110,66 @@ pub struct CampaignSpec {
 pub struct Scenario {
     pub name: &'static str,
     pub summary: &'static str,
-    pub build: fn() -> CampaignSpec,
+    /// The text of `scenarios/<name>.toml`.
+    toml: &'static str,
 }
+
+impl Scenario {
+    /// Expand the scenario: parse its embedded spec file.
+    ///
+    /// # Panics
+    /// Panics if the embedded file is malformed, which the catalog's tests
+    /// (`tests/catalog_files.rs`) rule out for every entry.
+    pub fn spec(&self) -> CampaignSpec {
+        let path = format!("crates/campaign/scenarios/{}.toml", self.name);
+        parse_spec(self.toml, &path).unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+/// The catalog, in `rcb list` order: each `name: summary` line embeds
+/// `scenarios/<name>.toml`.
+macro_rules! catalog {
+    ($($name:literal: $summary:literal,)*) => {
+        [$(Scenario {
+            name: $name,
+            summary: $summary,
+            toml: include_str!(concat!("../scenarios/", $name, ".toml")),
+        },)*]
+    };
+}
+
+const CATALOG: [Scenario; 14] = catalog! {
+    "core-repro": "MultiCastCore time/cost grid over n and T (Theorem 4.4 shape)",
+    "budget-sweep": "MultiCast vs a T ladder at fixed n (the O(T/n) slope, Theorem 5.4)",
+    "unknown-n": "MultiCastAdv (knows nothing) vs uniform and burst jamming",
+    "limited-channels": "MultiCast(C) channel-count sweep at fixed n (Corollary 7.1)",
+    "adaptive-proxy":
+        "Reactive and hotspot (execution-observing) jammers vs MultiCast (Section 8)",
+    "adaptive-grid":
+        "Reactive-family grid: reactivity window x channel cap (arXiv:2001.03936)",
+    "gilbert-elliott":
+        "Bursty environmental noise (Gilbert-Elliott) vs MultiCast and the epidemic",
+    "sweep-jammer": "Sweeping-window interference at several widths vs MultiCast",
+    "epidemic-race": "Baseline race: naive epidemic vs Decay vs MultiCast vs single-channel",
+    "scaling-ladder": "MultiCast across an n ladder with T proportional to n",
+    "adv-late-epoch":
+        "MultiCastAdv driven deep into sparse late epochs (idle fast-forward stress)",
+    "multi-hop":
+        "MultiHopCast over line/grid/geometric/dynamic topologies, with and without jamming",
+    "multi-message":
+        "MultiMessageCast k-payload ladder, jammed and over a grid (arXiv:1610.02931)",
+    "nemesis":
+        "World-schedule fault injection: jammer swaps, partition/heal, crashes, lossy links",
+};
 
 /// Every registered scenario, in catalog order.
 pub fn registry() -> Vec<Scenario> {
-    vec![
-        Scenario {
-            name: "core-repro",
-            summary: "MultiCastCore time/cost grid over n and T (Theorem 4.4 shape)",
-            build: core_repro,
-        },
-        Scenario {
-            name: "budget-sweep",
-            summary: "MultiCast vs a T ladder at fixed n (the O(T/n) slope, Theorem 5.4)",
-            build: budget_sweep,
-        },
-        Scenario {
-            name: "unknown-n",
-            summary: "MultiCastAdv (knows nothing) vs uniform and burst jamming",
-            build: unknown_n,
-        },
-        Scenario {
-            name: "limited-channels",
-            summary: "MultiCast(C) channel-count sweep at fixed n (Corollary 7.1)",
-            build: limited_channels,
-        },
-        Scenario {
-            name: "adaptive-proxy",
-            summary: "Reactive and hotspot (execution-observing) jammers vs MultiCast (Section 8)",
-            build: adaptive_proxy,
-        },
-        Scenario {
-            name: "adaptive-grid",
-            summary: "Reactive-family grid: reactivity window x channel cap (arXiv:2001.03936)",
-            build: adaptive_grid,
-        },
-        Scenario {
-            name: "gilbert-elliott",
-            summary: "Bursty environmental noise (Gilbert-Elliott) vs MultiCast and the epidemic",
-            build: gilbert_elliott,
-        },
-        Scenario {
-            name: "sweep-jammer",
-            summary: "Sweeping-window interference at several widths vs MultiCast",
-            build: sweep_jammer,
-        },
-        Scenario {
-            name: "epidemic-race",
-            summary: "Baseline race: naive epidemic vs Decay vs MultiCast vs single-channel",
-            build: epidemic_race,
-        },
-        Scenario {
-            name: "scaling-ladder",
-            summary: "MultiCast across an n ladder with T proportional to n",
-            build: scaling_ladder,
-        },
-        Scenario {
-            name: "adv-late-epoch",
-            summary: "MultiCastAdv driven deep into sparse late epochs (idle fast-forward stress)",
-            build: adv_late_epoch,
-        },
-        Scenario {
-            name: "multi-hop",
-            summary:
-                "MultiHopCast over line/grid/geometric/dynamic topologies, with and without jamming",
-            build: multi_hop,
-        },
-        Scenario {
-            name: "multi-message",
-            summary: "MultiMessageCast k-payload ladder, jammed and over a grid (arXiv:1610.02931)",
-            build: multi_message,
-        },
-        Scenario {
-            name: "nemesis",
-            summary:
-                "World-schedule fault injection: jammer swaps, partition/heal, crashes, lossy links",
-            build: nemesis,
-        },
-    ]
+    CATALOG.to_vec()
 }
 
 /// Look up a scenario by name.
 pub fn find(name: &str) -> Option<Scenario> {
-    registry().into_iter().find(|s| s.name == name)
+    CATALOG.iter().find(|s| s.name == name).copied()
 }
 
 /// Render a campaign spec for `rcb describe`: the header plus one line per
@@ -198,7 +180,7 @@ pub fn find(name: &str) -> Option<Scenario> {
 ///
 /// ```
 /// let s = rcb_campaign::find("adaptive-grid").expect("registered");
-/// let text = rcb_campaign::describe_campaign(&(s.build)(), s.summary);
+/// let text = rcb_campaign::describe_campaign(&s.spec(), s.summary);
 /// assert!(text.contains("reactive-window{T=20000, w=1, cap=2, threshold=1}"));
 /// assert!(text.contains("on complete"));
 /// ```
@@ -244,607 +226,10 @@ pub fn describe_campaign(spec: &CampaignSpec, summary: &str) -> String {
     out
 }
 
-fn core_repro() -> CampaignSpec {
-    let mut cells = Vec::new();
-    for &n in &[32u64, 64, 128] {
-        for &t in &[8_000u64, 32_000, 128_000] {
-            cells.push(CellSpec::new(
-                ProtocolKind::Core {
-                    n,
-                    t,
-                    params: Default::default(),
-                },
-                AdversaryKind::Uniform { t, frac: 0.9 },
-            ));
-        }
-    }
-    CampaignSpec {
-        name: "core-repro".into(),
-        description: "MultiCastCore (knows n and T) against a 90%-band uniform \
-                      jammer, over a 3x3 grid of n and T. Reproduces the \
-                      Theorem 4.4 time/cost shape O(T/n + lg T)."
-            .into(),
-        cells,
-    }
-}
-
-fn budget_sweep() -> CampaignSpec {
-    let n = 64u64;
-    let mut cells: Vec<CellSpec> = [4_000u64, 16_000, 64_000, 256_000]
-        .iter()
-        .map(|&t| {
-            CellSpec::new(
-                ProtocolKind::MultiCast {
-                    n,
-                    params: McParams::default(),
-                },
-                AdversaryKind::Uniform { t, frac: 0.9 },
-            )
-        })
-        .collect();
-    // The late-iteration tail at n = 16: budgets big enough to push
-    // MultiCast into iterations where p_i = 2^-i makes >90% of rounds
-    // empty — the idle fast-forward's signature workload (each blocked
-    // iteration quadruples R_i while halving p_i).
-    for &t in &[4_000_000u64, 35_000_000] {
-        cells.push(
-            CellSpec::new(
-                ProtocolKind::MultiCast {
-                    n: 16,
-                    params: McParams::default(),
-                },
-                AdversaryKind::Uniform { t, frac: 0.9 },
-            )
-            .with_max_slots(200_000_000),
-        );
-    }
-    CampaignSpec {
-        name: "budget-sweep".into(),
-        description: "MultiCast against a 90%-band uniform jammer up a budget \
-                      ladder: 4k..256k at n = 64 (the O(T/n) slope of Theorem \
-                      5.4a at ~sqrt(T) node cost, Theorem 5.4b), then 4M and \
-                      35M at n = 16 — the late-iteration sparse regime that \
-                      stresses the engine's idle fast-forward."
-            .into(),
-        cells,
-    }
-}
-
-fn unknown_n() -> CampaignSpec {
-    let mut cells = Vec::new();
-    for &n in &[16u64, 32] {
-        for &t in &[5_000u64, 20_000] {
-            cells.push(CellSpec::new(
-                ProtocolKind::Adv {
-                    n,
-                    params: AdvParams::default(),
-                },
-                AdversaryKind::Uniform { t, frac: 0.5 },
-            ));
-            cells.push(CellSpec::new(
-                ProtocolKind::Adv {
-                    n,
-                    params: AdvParams::default(),
-                },
-                AdversaryKind::Burst { t, start: 0 },
-            ));
-        }
-    }
-    CampaignSpec {
-        name: "unknown-n".into(),
-        description: "MultiCastAdv — no knowledge of n or T — against uniform \
-                      half-band jamming and a front-loaded full-band burst. \
-                      Checks the Theorem 6.10 overhead of learning the network \
-                      size implicitly."
-            .into(),
-        cells,
-    }
-}
-
-fn limited_channels() -> CampaignSpec {
-    let n = 64u64;
-    let t = 20_000u64;
-    let cells = [1u64, 2, 4, 8, 16]
-        .iter()
-        .map(|&c| {
-            CellSpec::new(
-                ProtocolKind::MultiCastC {
-                    n,
-                    c,
-                    params: McParams::default(),
-                },
-                AdversaryKind::Uniform { t, frac: 0.5 },
-            )
-        })
-        .collect();
-    CampaignSpec {
-        name: "limited-channels".into(),
-        description: "MultiCast(C) at n = 64 with C in {1,2,4,8,16} against a \
-                      half-band uniform jammer (T = 20k). Completion time should \
-                      fall ~inversely in C at C-independent energy \
-                      (Corollary 7.1); C = 1 doubles as the single-channel \
-                      comparator."
-            .into(),
-        cells,
-    }
-}
-
-fn adaptive_proxy() -> CampaignSpec {
-    let mut cells = Vec::new();
-    for &n in &[32u64, 64] {
-        cells.push(CellSpec::new(
-            ProtocolKind::MultiCast {
-                n,
-                params: McParams::default(),
-            },
-            AdversaryKind::Reactive {
-                t: 20_000,
-                max_channels: 8,
-            },
-        ));
-        cells.push(CellSpec::new(
-            ProtocolKind::MultiCast {
-                n,
-                params: McParams::default(),
-            },
-            AdversaryKind::Hotspot {
-                t: 20_000,
-                k: 8,
-                decay: 0.9,
-            },
-        ));
-    }
-    CampaignSpec {
-        name: "adaptive-proxy".into(),
-        description: "MultiCast against the Section 8 adaptive extension: a \
-                      reactive jammer (re-jams last slot's busy channels) and a \
-                      decay-scored hotspot tracker, both execution-observing. \
-                      Proxy for the adaptive-adversary follow-up work."
-            .into(),
-        cells,
-    }
-}
-
-fn adaptive_grid() -> CampaignSpec {
-    let n = 32u64;
-    let t = 20_000u64;
-    let mut cells = Vec::new();
-    // The w x c reactivity grid of the follow-up paper: sweeping the
-    // window shows whether *memory* helps Eve, sweeping the cap shows
-    // whether *bandwidth* does. Against per-slot channel hopping neither
-    // should (the band is memoryless), which is the bound shape
-    // arXiv:2001.03936 formalizes for sense-and-react jammers.
-    for &window in &[1u64, 4, 16] {
-        for &cap in &[2u64, 8, 16] {
-            cells.push(CellSpec::new(
-                ProtocolKind::MultiCast {
-                    n,
-                    params: McParams::default(),
-                },
-                AdversaryKind::ReactiveWindow {
-                    t,
-                    window,
-                    max_channels: cap,
-                    threshold: 1,
-                },
-            ));
-        }
-    }
-    // Trigger-threshold cells: a jammer that waits for sustained activity
-    // before spending. Thresholds above the typical per-window busy count
-    // (~n·p·w) should make her spend collapse entirely.
-    for &threshold in &[4u64, 8] {
-        cells.push(CellSpec::new(
-            ProtocolKind::MultiCast {
-                n,
-                params: McParams::default(),
-            },
-            AdversaryKind::ReactiveWindow {
-                t,
-                window: 8,
-                max_channels: 16,
-                threshold,
-            },
-        ));
-    }
-    CampaignSpec {
-        name: "adaptive-grid".into(),
-        description: "MultiCast at n = 32 against the parameterized reactive \
-                      family: a 3x3 grid over reactivity window w in {1, 4, 16} \
-                      x channel cap c in {2, 8, 16} (threshold 1), plus two \
-                      trigger-threshold cells (w = 8, c = 16, threshold in \
-                      {4, 8}). Reproduces the adaptive-adversary follow-up's \
-                      bound shape (arXiv:2001.03936): against fresh-uniform \
-                      channel hopping, neither sensing memory nor reactive \
-                      bandwidth converts into completion-time damage beyond a \
-                      spend-matched oblivious jammer's."
-            .into(),
-        cells,
-    }
-}
-
-fn gilbert_elliott() -> CampaignSpec {
-    let mut cells = Vec::new();
-    let ge = AdversaryKind::GilbertElliott {
-        t: 50_000,
-        p_gb: 0.05,
-        p_bg: 0.2,
-        frac: 0.6,
-    };
-    for &n in &[32u64, 64] {
-        cells.push(CellSpec::new(
-            ProtocolKind::MultiCast {
-                n,
-                params: McParams::default(),
-            },
-            ge.clone(),
-        ));
-        cells.push(CellSpec::new(
-            ProtocolKind::Naive { n, act_prob: 1.0 },
-            ge.clone(),
-        ));
-    }
-    CampaignSpec {
-        name: "gilbert-elliott".into(),
-        description: "Bursty (two-state Markov) environmental noise jamming 60% \
-                      of the band while in the bad state: realistic, \
-                      non-malicious interference against both MultiCast and the \
-                      naive epidemic."
-            .into(),
-        cells,
-    }
-}
-
-fn sweep_jammer() -> CampaignSpec {
-    let n = 64u64;
-    let t = 40_000u64;
-    let cells = [4u64, 16, 32]
-        .iter()
-        .map(|&width| {
-            CellSpec::new(
-                ProtocolKind::MultiCast {
-                    n,
-                    params: McParams::default(),
-                },
-                AdversaryKind::Sweep { t, width, step: 1 },
-            )
-        })
-        .collect();
-    CampaignSpec {
-        name: "sweep-jammer".into(),
-        description: "A contiguous window of 4/16/32 channels sweeping across \
-                      the 32-channel band one channel per slot, T = 40k, \
-                      against MultiCast at n = 64."
-            .into(),
-        cells,
-    }
-}
-
-fn epidemic_race() -> CampaignSpec {
-    let mut cells = Vec::new();
-    for &n in &[32u64, 128] {
-        cells.push(CellSpec::new(
-            ProtocolKind::Naive { n, act_prob: 1.0 },
-            AdversaryKind::Silent,
-        ));
-        cells.push(CellSpec::new(
-            ProtocolKind::Decay { n },
-            AdversaryKind::Silent,
-        ));
-        cells.push(CellSpec::new(
-            ProtocolKind::MultiCast {
-                n,
-                params: McParams::default(),
-            },
-            AdversaryKind::Silent,
-        ));
-        cells.push(CellSpec::new(
-            ProtocolKind::SingleChannel {
-                n,
-                params: McParams::default(),
-            },
-            AdversaryKind::Silent,
-        ));
-    }
-    CampaignSpec {
-        name: "epidemic-race".into(),
-        description: "Jam-free baseline race at n = 32 and 128: the naive \
-                      multi-channel epidemic and classical Decay (informed-time \
-                      only; they never halt) against MultiCast and the \
-                      single-channel resource-competitive comparator."
-            .into(),
-        cells,
-    }
-}
-
-fn scaling_ladder() -> CampaignSpec {
-    let cells = [16u64, 32, 64, 128, 256]
-        .iter()
-        .map(|&n| {
-            CellSpec::new(
-                ProtocolKind::MultiCast {
-                    n,
-                    params: McParams::default(),
-                },
-                AdversaryKind::Uniform {
-                    t: 100 * n,
-                    frac: 0.5,
-                },
-            )
-        })
-        .collect();
-    CampaignSpec {
-        name: "scaling-ladder".into(),
-        description: "MultiCast up an n ladder (16..256) with the jamming \
-                      budget scaled as T = 100n, half the band jammed. Fixing \
-                      T/n isolates the protocol's n-dependence."
-            .into(),
-        cells,
-    }
-}
-
-fn adv_late_epoch() -> CampaignSpec {
-    let mut cells = Vec::new();
-    for &(n, t) in &[(16u64, 50_000u64), (16, 200_000), (32, 100_000)] {
-        cells.push(
-            CellSpec::new(
-                ProtocolKind::Adv {
-                    n,
-                    params: AdvParams::default(),
-                },
-                AdversaryKind::Uniform { t, frac: 0.9 },
-            )
-            .with_max_slots(200_000_000),
-        );
-    }
-    cells.push(
-        CellSpec::new(
-            ProtocolKind::Adv {
-                n: 16,
-                params: AdvParams::default(),
-            },
-            AdversaryKind::Burst {
-                t: 200_000,
-                start: 0,
-            },
-        )
-        .with_max_slots(200_000_000),
-    );
-    CampaignSpec {
-        name: "adv-late-epoch".into(),
-        description: "MultiCastAdv runs reaching their deepest (sparsest) \
-                      epochs, where p(i, j) = 2^{-α(i-j)}/2 empties ~half of \
-                      all rounds (the protocol halts by design before p decays \
-                      further — the >90%-idle regime lives in budget-sweep's \
-                      late MultiCast iterations). Together with budget-sweep \
-                      these are the `rcb bench` fast-forward stress cells."
-            .into(),
-        cells,
-    }
-}
-
-fn multi_hop() -> CampaignSpec {
-    let mh = |n: u64, channels: u64| ProtocolKind::MultiHop {
-        n,
-        channels,
-        p: 0.25,
-    };
-    // A radius safely above the geometric connectivity threshold for n = 64
-    // (see `rcb_sim::Topology::connectivity_radius`).
-    let radius = rcb_sim::Topology::connectivity_radius(64);
-    let cells = vec![
-        // Deepest propagation: lines of diameter 31 and 63, clean and jammed.
-        CellSpec::new(mh(32, 8), AdversaryKind::Silent)
-            .with_topology(TopologyKind::Line)
-            .with_max_slots(20_000_000),
-        CellSpec::new(
-            mh(64, 8),
-            AdversaryKind::Uniform {
-                t: 20_000,
-                frac: 0.5,
-            },
-        )
-        .with_topology(TopologyKind::Line)
-        .with_max_slots(20_000_000),
-        // 8x8 grid, diameter 14, under uniform jamming.
-        CellSpec::new(
-            mh(64, 8),
-            AdversaryKind::Uniform {
-                t: 20_000,
-                frac: 0.5,
-            },
-        )
-        .with_topology(TopologyKind::Grid { cols: 8 })
-        .with_max_slots(20_000_000),
-        // Per-trial random geometric graphs at a connectivity-safe radius.
-        CellSpec::new(mh(64, 16), AdversaryKind::Silent)
-            .with_topology(TopologyKind::RandomGeometric { radius })
-            .with_max_slots(20_000_000),
-        // Dynamic churn (30% of edges down per round) over the geometric
-        // base, plus a front-loaded full-band burst.
-        CellSpec::new(
-            mh(64, 16),
-            AdversaryKind::Burst {
-                t: 30_000,
-                start: 0,
-            },
-        )
-        .with_topology(TopologyKind::Dynamic {
-            base: Box::new(TopologyKind::RandomGeometric { radius }),
-            p_down: 0.3,
-        })
-        .with_max_slots(20_000_000),
-    ];
-    CampaignSpec {
-        name: "multi-hop".into(),
-        description: "MultiHopCast (informed nodes relay with the sender \
-                      schedule, p = 0.25) over a topology family: lines of \
-                      diameter 31/63, an 8x8 grid, per-trial random geometric \
-                      graphs at a connectivity-safe radius, and a dynamic \
-                      variant with 30% per-round edge churn. Completion means \
-                      every node reachable from the source is informed \
-                      (Ahmadi-Kuhn dynamic-network reference model)."
-            .into(),
-        cells,
-    }
-}
-
-fn multi_message() -> CampaignSpec {
-    let mm = |n: u64, k: u32, channels: u64| ProtocolKind::MultiMessage {
-        n,
-        k,
-        channels,
-        p: 0.25,
-    };
-    let mut cells: Vec<CellSpec> = [1u32, 2, 4, 8, 16]
-        .iter()
-        .map(|&k| CellSpec::new(mm(32, k, 16), AdversaryKind::Silent).with_max_slots(20_000_000))
-        .collect();
-    // Half-band jamming against the k = 4 ladder point.
-    cells.push(
-        CellSpec::new(
-            mm(32, 4, 16),
-            AdversaryKind::Uniform {
-                t: 20_000,
-                frac: 0.5,
-            },
-        )
-        .with_max_slots(20_000_000),
-    );
-    // The same protocol, unchanged, over an 8x8 grid: the unified
-    // Simulation core means the new workload composes with the topology
-    // axis for free.
-    cells.push(
-        CellSpec::new(mm(64, 4, 8), AdversaryKind::Silent)
-            .with_topology(TopologyKind::Grid { cols: 8 })
-            .with_max_slots(20_000_000),
-    );
-    CampaignSpec {
-        name: "multi-message".into(),
-        description: "MultiMessageCast (k concurrent payloads, partial holders \
-                      relay a uniformly random known message, p = 0.25): a k \
-                      ladder 1..16 at n = 32 on 16 channels, a half-band-jammed \
-                      k = 4 cell, and k = 4 relayed across an 8x8 grid. \
-                      Completion means every reachable node holds all k \
-                      messages (multi-message broadcast, Ahmadi-Kuhn \
-                      arXiv:1610.02931); completion time should grow roughly \
-                      like the coupon-collector factor in k."
-            .into(),
-        cells,
-    }
-}
-
-fn nemesis() -> CampaignSpec {
-    let mc32 = || ProtocolKind::MultiCast {
-        n: 32,
-        params: McParams::default(),
-    };
-    let mut cells = Vec::new();
-    // Sub-family 1 — mid-run jammer swap: the oblivious uniform jammer is
-    // replaced at slot 4096 by a fresh-budget adaptive reactive jammer, and
-    // a front-loaded burst is swapped out for silence at slot 8192.
-    cells.push(
-        CellSpec::new(
-            mc32(),
-            AdversaryKind::Uniform {
-                t: 20_000,
-                frac: 0.5,
-            },
-        )
-        .with_schedule(ScheduleSpec::new().at(
-            4096,
-            ScheduleEventKind::SwapEve(AdversaryKind::Reactive {
-                t: 20_000,
-                max_channels: 8,
-            }),
-        )),
-    );
-    cells.push(
-        CellSpec::new(
-            mc32(),
-            AdversaryKind::Burst {
-                t: 20_000,
-                start: 0,
-            },
-        )
-        .with_schedule(
-            ScheduleSpec::new().at(8192, ScheduleEventKind::SwapEve(AdversaryKind::Silent)),
-        ),
-    );
-    // Sub-family 2 — partition-then-heal on an 8x8 grid: the top four rows
-    // (source included) are cut off from the rest at slot 64, long before
-    // the wave crosses the boundary, and reconnected at slot 4096;
-    // completion still means every reachable node informed.
-    cells.push(
-        CellSpec::new(
-            ProtocolKind::MultiHop {
-                n: 64,
-                channels: 8,
-                p: 0.25,
-            },
-            AdversaryKind::Silent,
-        )
-        .with_topology(TopologyKind::Grid { cols: 8 })
-        .with_schedule(
-            ScheduleSpec::new()
-                .at(
-                    64,
-                    ScheduleEventKind::Partition {
-                        groups: vec![(0..32).collect()],
-                    },
-                )
-                .at(4096, ScheduleEventKind::Heal),
-        )
-        .with_max_slots(20_000_000),
-    );
-    // Sub-family 3 — crash-f sweep: fail-stop the f highest node ids at
-    // slot 64; the outcome verdict is survivor-relative.
-    for f in [1u32, 2, 4] {
-        cells.push(CellSpec::new(mc32(), AdversaryKind::Silent).with_schedule(
-            ScheduleSpec::new().at(
-                64,
-                ScheduleEventKind::CrashNodes {
-                    nodes: (32 - f..32).collect(),
-                },
-            ),
-        ));
-    }
-    // Sub-family 4 — lossy-link ladder on a line: every delivery along the
-    // 31-hop path is dropped iid with probability p from slot 0.
-    for &p in &[0.1f64, 0.3, 0.5] {
-        cells.push(
-            CellSpec::new(
-                ProtocolKind::MultiHop {
-                    n: 32,
-                    channels: 8,
-                    p: 0.25,
-                },
-                AdversaryKind::Silent,
-            )
-            .with_topology(TopologyKind::Line)
-            .with_schedule(ScheduleSpec::new().at(0, ScheduleEventKind::SetLinkLoss { p }))
-            .with_max_slots(20_000_000),
-        );
-    }
-    CampaignSpec {
-        name: "nemesis".into(),
-        description: "Declarative world-schedule fault injection over the \
-                      unified engine: a mid-run jammer swap pair (uniform -> \
-                      reactive, burst -> silent, fresh budgets), a \
-                      partition-then-heal cut on an 8x8 grid, a crash-f sweep \
-                      (f in {1, 2, 4} fail-stop nodes, survivor-relative \
-                      verdicts), and a lossy-link ladder (p in {0.1, 0.3, \
-                      0.5}) down a 31-hop line. Every event lands on a \
-                      fast-forward span boundary, so scheduled cells keep the \
-                      engine's determinism guarantees."
-            .into(),
-        cells,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcb_harness::ScheduleEventKind;
 
     #[test]
     fn registry_has_at_least_eight_unique_scenarios() {
@@ -859,7 +244,7 @@ mod tests {
     #[test]
     fn every_scenario_expands_to_nonempty_cells() {
         for s in registry() {
-            let spec = (s.build)();
+            let spec = s.spec();
             assert_eq!(spec.name, s.name, "spec name must match catalog name");
             assert!(!spec.cells.is_empty(), "{} has no cells", s.name);
             assert!(!spec.description.is_empty());
@@ -885,7 +270,7 @@ mod tests {
     #[test]
     fn describe_golden_output_includes_topology_and_adversary_parameters() {
         let s = find("multi-hop").expect("registered");
-        let text = describe_campaign(&(s.build)(), s.summary);
+        let text = describe_campaign(&s.spec(), s.summary);
         let golden = concat!(
         "# multi-hop — MultiHopCast over line/grid/geometric/dynamic topologies, with and without jamming\n",
         "\n",
@@ -906,7 +291,7 @@ mod tests {
     #[test]
     fn describe_covers_every_scenario() {
         for s in registry() {
-            let spec = (s.build)();
+            let spec = s.spec();
             let text = describe_campaign(&spec, s.summary);
             assert!(text.starts_with(&format!("# {} — ", s.name)));
             for cell in &spec.cells {
@@ -927,7 +312,7 @@ mod tests {
 
     #[test]
     fn adaptive_grid_covers_the_reactivity_plane() {
-        let spec = (find("adaptive-grid").expect("registered").build)();
+        let spec = find("adaptive-grid").expect("registered").spec();
         assert!(spec.cells.len() >= 11, "3x3 grid + threshold cells");
         let mut windows = std::collections::BTreeSet::new();
         let mut caps = std::collections::BTreeSet::new();
@@ -957,7 +342,7 @@ mod tests {
 
     #[test]
     fn multi_message_covers_the_k_axis() {
-        let spec = (find("multi-message").expect("registered").build)();
+        let spec = find("multi-message").expect("registered").spec();
         assert!(spec.cells.len() >= 7, "k ladder + jammed + grid cells");
         let mut ks = std::collections::BTreeSet::new();
         for cell in &spec.cells {
@@ -980,7 +365,7 @@ mod tests {
 
     #[test]
     fn multi_hop_covers_the_topology_family() {
-        let spec = (find("multi-hop").expect("registered").build)();
+        let spec = find("multi-hop").expect("registered").spec();
         assert!(spec.cells.len() >= 5);
         let mut topologies: Vec<&str> = spec.cells.iter().map(|c| c.topology.name()).collect();
         topologies.sort_unstable();
@@ -998,7 +383,7 @@ mod tests {
         // nemesis, whose partition/lossy-link cells need real graphs).
         for s in registry() {
             if s.name != "multi-hop" && s.name != "multi-message" && s.name != "nemesis" {
-                assert!((s.build)().cells.iter().all(|c| c.topology.is_complete()));
+                assert!(s.spec().cells.iter().all(|c| c.topology.is_complete()));
             }
         }
     }
@@ -1010,7 +395,7 @@ mod tests {
     #[test]
     fn describe_golden_output_includes_schedule_column() {
         let s = find("nemesis").expect("registered");
-        let spec = (s.build)();
+        let spec = s.spec();
         let text = describe_campaign(&spec, s.summary);
         assert!(text.starts_with("# nemesis — World-schedule fault injection"));
         assert!(text.contains("9 cells:\n"));
@@ -1035,12 +420,12 @@ mod tests {
         );
         // Unscheduled scenarios must not grow the column.
         let mh = find("multi-hop").expect("registered");
-        assert!(!describe_campaign(&(mh.build)(), mh.summary).contains("sched ="));
+        assert!(!describe_campaign(&mh.spec(), mh.summary).contains("sched ="));
     }
 
     #[test]
     fn nemesis_covers_every_event_family() {
-        let spec = (find("nemesis").expect("registered").build)();
+        let spec = find("nemesis").expect("registered").spec();
         assert!(spec.cells.len() >= 9, "four sub-families");
         assert!(spec.cells.iter().all(|c| !c.schedule.is_empty()));
         let kinds: std::collections::BTreeSet<&str> = spec

@@ -782,9 +782,6 @@ pub struct WorkerOptions {
     /// exactly the state a `kill -9` mid-cell leaves, so tests and CI can
     /// exercise the steal path without racing real signals.
     pub max_trials: Option<u64>,
-    /// Idle re-scan interval; 0 derives one from the plan's staleness
-    /// window.
-    pub poll_ms: u64,
 }
 
 impl Default for WorkerOptions {
@@ -793,7 +790,6 @@ impl Default for WorkerOptions {
             worker_id: format!("pid{}", std::process::id()),
             threads: 0,
             max_trials: None,
-            poll_ms: 0,
         }
     }
 }
@@ -852,11 +848,9 @@ pub fn shard_work(
     plan.validate_spec(spec, &plan_path(state_dir))?;
     let n = plan.trials_per_cell;
     let store = plan.store_dir.as_deref().map(Store::new);
-    let poll = Duration::from_millis(if opts.poll_ms > 0 {
-        opts.poll_ms
-    } else {
-        (plan.stale_after_ms / 4).clamp(5, 200)
-    });
+    // Idle re-scan interval: a quarter of the staleness window, so a dead
+    // worker's lease is seen stale soon after it expires.
+    let poll = Duration::from_millis((plan.stale_after_ms / 4).clamp(5, 200));
 
     let mut tally = Tally::default();
     loop {

@@ -1,8 +1,11 @@
 //! `rcb run --spec file.toml` — campaign specs from files.
 //!
 //! Loads a [`CampaignSpec`] — cells, adversaries, topologies, **and world
-//! schedules** — from a declarative spec file, so nemesis experiments can
-//! be written and shared without recompiling the scenario registry.
+//! schedules** — from a declarative spec file. This is the one way a
+//! campaign is written down: the scenario catalog is itself a set of spec
+//! files (`crates/campaign/scenarios/*.toml`) embedded into the binary and
+//! parsed here, so a copied and edited catalog file runs through
+//! `rcb run --spec` without recompiling anything.
 //!
 //! Two front-ends share one builder:
 //!
@@ -51,6 +54,18 @@
 //! Protocol and adversary keys live in one namespace per table; the
 //! adversary budget is spelled `budget` (not `t`) and `random-subset` /
 //! `hotspot` use `adv_k`, so they can never collide with protocol knobs.
+//!
+//! ## Sweeps
+//!
+//! No cell key takes an array, so an array on a cell key declares a sweep
+//! axis: the cell expands into the cross product of its array-valued keys,
+//! the first such key outermost, every expanded cell keeping the other
+//! keys and the events. `n = [32, 128]` followed by
+//! `protocol = ["naive", "decay"]` gives the cells (32, naive),
+//! (32, decay), (128, naive), (128, decay), in that order. An empty array
+//! is an error, and each element must be what the key takes as a scalar.
+//! Arrays in `[[cell.event]]` tables (`groups`, `nodes`) are values, never
+//! axes. The rule is the builder's, so it holds for JSON cells too.
 
 use crate::jsonin;
 use crate::scenario::{CampaignSpec, CellSpec};
@@ -869,6 +884,52 @@ fn build_cell(raw: &mut RawCell, file: &str, index: usize) -> Result<CellSpec, S
     Ok(cell)
 }
 
+/// Expand a cell's array-valued keys into the cross product of their
+/// elements, the first such key outermost (see the module docs). A cell
+/// without arrays comes back as itself.
+fn expand_axes(raw: RawCell, file: &str) -> Result<Vec<RawCell>, SpecError> {
+    let mut tables = vec![Table {
+        line: raw.table.line,
+        entries: Vec::new(),
+    }];
+    for entry in raw.table.entries {
+        let values = match entry.value {
+            Value::Arr(items) if items.is_empty() => {
+                return Err(SpecError::new(
+                    file,
+                    entry.line,
+                    format!(
+                        "`{}` is an empty array: a sweep axis needs a value",
+                        entry.key
+                    ),
+                ))
+            }
+            Value::Arr(items) => items,
+            scalar => vec![scalar],
+        };
+        let mut next = Vec::with_capacity(tables.len() * values.len());
+        for table in &tables {
+            for value in &values {
+                let mut table = table.clone();
+                table.entries.push(Entry {
+                    key: entry.key.clone(),
+                    value: value.clone(),
+                    line: entry.line,
+                });
+                next.push(table);
+            }
+        }
+        tables = next;
+    }
+    Ok(tables
+        .into_iter()
+        .map(|table| RawCell {
+            table,
+            events: raw.events.clone(),
+        })
+        .collect())
+}
+
 fn build_spec(mut raw: RawSpec, file: &str) -> Result<CampaignSpec, SpecError> {
     let name = req_str(&mut raw.doc, file, "spec", "name")?;
     let description = opt_str(&mut raw.doc, file, "description")?.unwrap_or_default();
@@ -876,12 +937,12 @@ fn build_spec(mut raw: RawSpec, file: &str) -> Result<CampaignSpec, SpecError> {
     if raw.cells.is_empty() {
         return Err(SpecError::new(file, 0, "spec defines no [[cell]]"));
     }
-    let cells = raw
-        .cells
-        .iter_mut()
-        .enumerate()
-        .map(|(i, c)| build_cell(c, file, i))
-        .collect::<Result<Vec<_>, _>>()?;
+    let mut cells = Vec::new();
+    for raw_cell in raw.cells {
+        for mut c in expand_axes(raw_cell, file)? {
+            cells.push(build_cell(&mut c, file, cells.len())?);
+        }
+    }
     Ok(CampaignSpec {
         name,
         description,
@@ -1093,6 +1154,129 @@ kind = "heal"
         let err = parse_spec("name = \"a\"\nname = \"b\"\n", "x.toml").unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.msg.contains("duplicate key `name`"), "{err}");
+    }
+
+    /// One line per cell: protocol, adversary, topology and schedule.
+    fn cell_lines(spec: &CampaignSpec) -> Vec<String> {
+        spec.cells
+            .iter()
+            .map(|c| {
+                format!(
+                    "{} vs {} on {} [{}]",
+                    c.protocol.detail(),
+                    c.adversary.detail(),
+                    c.topology.detail(),
+                    c.schedule.detail()
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cell_arrays_expand_first_key_outermost() {
+        let text = "name = \"x\"\n[[cell]]\nn = [16, 32]\nprotocol = \"naive\"\n\
+                    act_prob = [0.5, 1.0]\nadversary = \"uniform\"\nbudget = 100\n\
+                    frac = 0.25\nmax_slots = 1000\n";
+        let spec = parse_spec(text, "sweep.toml").expect("valid sweep");
+        assert_eq!(
+            cell_lines(&spec),
+            [
+                "NaiveEpidemic{n=16, act_prob=0.5} vs uniform{T=100, frac=0.25} on complete []",
+                "NaiveEpidemic{n=16, act_prob=1} vs uniform{T=100, frac=0.25} on complete []",
+                "NaiveEpidemic{n=32, act_prob=0.5} vs uniform{T=100, frac=0.25} on complete []",
+                "NaiveEpidemic{n=32, act_prob=1} vs uniform{T=100, frac=0.25} on complete []",
+            ]
+        );
+        assert!(spec.cells.iter().all(|c| c.max_slots == 1000));
+
+        // Swapping the keys swaps the nesting.
+        let swapped = "name = \"x\"\n[[cell]]\nprotocol = \"naive\"\n\
+                       act_prob = [0.5, 1.0]\nn = [16, 32]\n";
+        let spec = parse_spec(swapped, "sweep.toml").expect("valid sweep");
+        let ns: Vec<String> = spec.cells.iter().map(|c| c.protocol.detail()).collect();
+        assert_eq!(
+            ns,
+            [
+                "NaiveEpidemic{n=16, act_prob=0.5}",
+                "NaiveEpidemic{n=32, act_prob=0.5}",
+                "NaiveEpidemic{n=16, act_prob=1}",
+                "NaiveEpidemic{n=32, act_prob=1}",
+            ]
+        );
+
+        // The builder owns the rule, so JSON cells sweep the same way.
+        let json = r#"{"name": "x", "cells": [{"protocol": ["naive", "decay"], "n": 16}]}"#;
+        let spec = parse_spec(json, "sweep.json").expect("valid JSON sweep");
+        assert_eq!(spec.cells.len(), 2);
+        assert!(matches!(
+            spec.cells[1].protocol,
+            ProtocolKind::Decay { n: 16 }
+        ));
+    }
+
+    #[test]
+    fn empty_or_mistyped_axes_fail_with_file_and_line() {
+        let base = "name = \"x\"\n[[cell]]\nprotocol = \"naive\"\n";
+        let err = parse_spec(&format!("{base}n = []\n"), "sweep.toml").unwrap_err();
+        assert_eq!((err.file.as_str(), err.line), ("sweep.toml", 4));
+        assert!(err.msg.contains("`n` is an empty array"), "{err}");
+
+        let err = parse_spec(&format!("{base}n = [16, \"x\"]\n"), "sweep.toml").unwrap_err();
+        assert_eq!((err.file.as_str(), err.line), ("sweep.toml", 4));
+        assert!(
+            err.msg
+                .contains("`n` must be a nonnegative integer, got string"),
+            "{err}"
+        );
+
+        let err = parse_spec(&format!("{base}n = [[16]]\n"), "sweep.toml").unwrap_err();
+        assert_eq!(err.line, 4);
+        assert!(err.msg.contains("got array"), "{err}");
+    }
+
+    /// `[[cell.event]]` arrays stay values (`full_toml_spec_round_trips`
+    /// covers `groups`); an axis on the cell copies its events into every
+    /// expanded cell.
+    #[test]
+    fn event_arrays_are_values_not_axes() {
+        let text = "name = \"x\"\n[[cell]]\nprotocol = \"naive\"\nn = [8, 16]\n\
+                    [[cell.event]]\nslot = 4\nkind = \"crash\"\nnodes = [1, 2]\n";
+        let spec = parse_spec(text, "x.toml").expect("valid spec");
+        assert_eq!(
+            cell_lines(&spec),
+            [
+                "NaiveEpidemic{n=8, act_prob=1} vs silent on complete [crash@4]",
+                "NaiveEpidemic{n=16, act_prob=1} vs silent on complete [crash@4]",
+            ]
+        );
+        for cell in &spec.cells {
+            let (_, ScheduleEventKind::CrashNodes { nodes }) = &cell.schedule.events[0] else {
+                panic!("the event must be the crash");
+            };
+            assert_eq!(nodes, &vec![1, 2]);
+        }
+    }
+
+    /// A spec without arrays builds one cell per table, exactly the cell
+    /// a hand-written `CellSpec` gives.
+    #[test]
+    fn specs_without_arrays_parse_as_before() {
+        let text = "name = \"tiny\"\ndescription = \"naive epidemic, no jamming\"\n\
+                    [[cell]]\nprotocol = \"naive\"\nn = 16\nmax_slots = 100000\n";
+        let by_hand = CampaignSpec {
+            name: "tiny".into(),
+            description: "naive epidemic, no jamming".into(),
+            cells: vec![CellSpec::new(
+                ProtocolKind::Naive {
+                    n: 16,
+                    act_prob: 1.0,
+                },
+                AdversaryKind::Silent,
+            )
+            .with_max_slots(100_000)],
+        };
+        let parsed = parse_spec(text, "tiny.toml").expect("valid spec");
+        assert_eq!(format!("{parsed:?}"), format!("{by_hand:?}"));
     }
 
     #[test]

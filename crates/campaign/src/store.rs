@@ -391,7 +391,7 @@ impl Store {
                 ckpt.campaign
             ))
         })?;
-        let spec = (scenario.build)();
+        let spec = scenario.spec();
         let cell = spec.cells.get(ckpt.cell_index as usize).ok_or_else(|| {
             ServiceError::msg(format!(
                 "entry {key} names cell {} but `{}` has only {} cells",
@@ -449,7 +449,7 @@ impl Store {
         let Some(scenario) = find(&entry.campaign) else {
             return Ok(false);
         };
-        let spec = (scenario.build)();
+        let spec = scenario.spec();
         let Some(cell) = spec.cells.get(entry.cell_index as usize) else {
             return Ok(false);
         };
@@ -498,7 +498,7 @@ impl Store {
                 anchor.campaign
             ))
         })?;
-        let spec = (scenario.build)();
+        let spec = scenario.spec();
         let cell = spec.cells.get(anchor.cell_index as usize).ok_or_else(|| {
             ServiceError::msg(format!(
                 "entry {anchor_key} names cell {} but `{}` has only {} cells",
@@ -709,7 +709,7 @@ mod tests {
         // A live entry: a real catalog scenario, hashed from its current
         // cell spec.
         let scenario = &registry()[0];
-        let spec = (scenario.build)();
+        let spec = scenario.spec();
         let cell = &spec.cells[0];
         let live = store
             .insert_cell(&spec.name, 7, 0, cell, cell.max_slots, 5, &filled_state(5))
@@ -747,7 +747,7 @@ mod tests {
     fn trend_follows_one_cell_across_code_versions() {
         let store = temp_store("trend");
         let scenario = &registry()[0];
-        let spec = (scenario.build)();
+        let spec = scenario.spec();
         let cell = &spec.cells[0];
         let state = filled_state(5);
 

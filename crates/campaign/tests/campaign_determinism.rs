@@ -223,7 +223,7 @@ fn streaming_aggregation_matches_exact_batch() {
 fn every_registered_scenario_runs() {
     assert!(registry().len() >= 8);
     for s in registry() {
-        let spec = (s.build)();
+        let spec = s.spec();
         let report = run_campaign(
             &spec,
             &CampaignConfig {

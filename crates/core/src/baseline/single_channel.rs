@@ -20,7 +20,7 @@ use rcb_sim::{Protocol, SlotProfile};
 /// the best known single-channel algorithm. Using it as the baseline puts
 /// both sides of the E6 comparison on the same simulator and the same
 /// constant conventions, which is precisely what a fair "who wins and by how
-/// much" measurement needs. (See DESIGN.md §2 for this substitution.)
+/// much" measurement needs.
 #[derive(Clone, Debug)]
 pub struct SingleChannelRcb {
     inner: MultiCastC,

@@ -9,9 +9,9 @@
 //! slots and `MultiCastAdv` needs `Θ(1/α)`-epoch waits that multiply run
 //! length by `2^{Θ(1)/α}`. For a simulable reproduction we keep every
 //! functional form and re-anchor the constants; each deviation is recorded
-//! here next to the value it replaces (see also DESIGN.md §5). The
-//! experiments in EXPERIMENTS.md verify the *asymptotic shapes* — which are
-//! unaffected by the re-anchoring — empirically.
+//! here next to the value it replaces. The `repro` experiments
+//! (`crates/bench`) verify the *asymptotic shapes* — which are unaffected
+//! by the re-anchoring — empirically.
 
 /// Exact base-2 logarithm of a power of two.
 ///

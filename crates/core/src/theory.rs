@@ -5,7 +5,8 @@
 //! step should let Eve block one more iteration/epoch) and to *compare*
 //! measurements against predicted shapes. This module centralizes that
 //! arithmetic, with the constants of this implementation (not the paper's
-//! galactic analysis constants — see DESIGN.md §5).
+//! galactic analysis constants — see the [`params`](crate::params) module
+//! docs).
 
 use crate::params::{lg_f64, AdvParams, McParams};
 

@@ -1,9 +1,10 @@
 //! Markdown / CSV table builder for experiment reports.
 //!
-//! The `repro` binary prints every experiment as a markdown table (recorded
-//! in EXPERIMENTS.md) and can emit the same data as CSV for external
-//! plotting. Hand-rolled because the offline dependency set has no
-//! `serde_json`-style writer — and a table builder is all we need.
+//! The `repro` binary prints every experiment as a markdown table, and the
+//! `rcb` summaries (`run`, `bench`, `profile`) use the same builder;
+//! [`Table::csv`] emits the same data for external plotting. Hand-rolled
+//! because the offline dependency set has no `serde_json`-style writer —
+//! and a table builder is all we need.
 
 /// A simple column-aligned table.
 #[derive(Clone, Debug, Default)]

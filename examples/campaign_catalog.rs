@@ -21,7 +21,7 @@ fn main() {
     // Run the baseline race: naive epidemic vs Decay vs MultiCast vs the
     // single-channel comparator, all jam-free.
     let scenario = find("epidemic-race").expect("registered");
-    let spec = (scenario.build)();
+    let spec = scenario.spec();
     println!(
         "\nrunning `{}` — {} cells x 20 trials …\n",
         spec.name,
@@ -72,7 +72,7 @@ fn main() {
     // the same protocol jammed and relayed across a grid — all through the
     // same unified Simulation core.
     let scenario = find("multi-message").expect("registered");
-    let spec = (scenario.build)();
+    let spec = scenario.spec();
     println!(
         "\nrunning `{}` — {} cells x 5 trials …\n",
         spec.name,

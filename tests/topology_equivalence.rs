@@ -283,7 +283,7 @@ fn multi_hop_campaign_is_thread_deterministic() {
     use rcb::campaign::{find, run_campaign, CampaignConfig};
 
     let scenario = find("multi-hop").expect("multi-hop scenario registered");
-    let spec = (scenario.build)();
+    let spec = scenario.spec();
     let json_at = |threads: usize| {
         run_campaign(
             &spec,
