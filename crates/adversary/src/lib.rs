@@ -74,14 +74,23 @@ impl Adversary for Silent {
     }
 }
 
-/// Round `frac * channels` to a jam count, clamped to the band.
+/// Round `frac * channels` to a jam count (halves away from zero, as
+/// `f64::round`), clamped to the band.
+///
+/// No `round` call, which is out of line on baseline x86-64: truncate, then
+/// add one when the dropped fraction is at least ½. For `0 < x < 2⁵²` the
+/// fraction `x − ⌊x⌋` is exact in f64, so the comparison is exact; from
+/// 2⁵² on `x` is already an integer and the fraction is 0.
+#[inline]
 pub(crate) fn frac_to_count(frac: f64, channels: u64) -> u64 {
     if frac <= 0.0 {
         0
     } else if frac >= 1.0 {
         channels
     } else {
-        ((frac * channels as f64).round() as u64).min(channels)
+        let x = frac * channels as f64;
+        let t = x as u64;
+        (t + (x - t as f64 >= 0.5) as u64).min(channels)
     }
 }
 
@@ -151,6 +160,64 @@ mod tests {
             constant_demand_charge(u64::MAX, u64::MAX, u64::MAX).spent,
             u64::MAX
         );
+    }
+
+    /// `frac_to_count`'s rounding as it was: `f64::round`, then the clamp.
+    fn round_reference(frac: f64, channels: u64) -> u64 {
+        if frac <= 0.0 {
+            0
+        } else if frac >= 1.0 {
+            channels
+        } else {
+            ((frac * channels as f64).round() as u64).min(channels)
+        }
+    }
+
+    /// The truncate-and-compare rounding equals `f64::round` on every
+    /// half-integer `k + ½` and its two f64 neighbours, for `k < 2²⁰` and
+    /// near 2⁵² (where the fraction stops being representable), on the
+    /// largest f64 below ½, and on seeded `frac × channels` pairs.
+    #[test]
+    fn frac_to_count_equals_round() {
+        // frac = x / C for a power of two C above x: exact, below 1, and
+        // frac * C gives back exactly x, so the clamp never bites.
+        fn check(x: f64) {
+            let channels = (x as u64 + 1).next_power_of_two();
+            let frac = x / channels as f64;
+            assert_eq!(frac * channels as f64, x);
+            let want = x.round() as u64;
+            assert_eq!(
+                frac_to_count(frac, channels),
+                want,
+                "x = {x:e} ({:#x})",
+                x.to_bits()
+            );
+        }
+        let halves = (0..1u64 << 20).chain((1u64 << 52) - (1 << 12)..(1u64 << 52) + (1 << 12));
+        for k in halves {
+            let x = k as f64 + 0.5;
+            for y in [
+                x,
+                f64::from_bits(x.to_bits() - 1),
+                f64::from_bits(x.to_bits() + 1),
+            ] {
+                check(y);
+            }
+        }
+        // The largest f64 below ½: a `+ 0.5` then `floor` would round it up.
+        check(0.49999999999999994);
+        assert_eq!(frac_to_count(0.49999999999999994, 1), 0);
+        let mut rng = rcb_sim::Xoshiro256::seeded(0xF7AC);
+        for _ in 0..100_000 {
+            let bits = 1 + rng.gen_range(40);
+            let channels = 1 + rng.gen_range(1 << bits);
+            let frac = rng.next_f64();
+            assert_eq!(
+                frac_to_count(frac, channels),
+                round_reference(frac, channels),
+                "frac = {frac}, channels = {channels}"
+            );
+        }
     }
 
     #[test]

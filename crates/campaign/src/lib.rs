@@ -71,6 +71,8 @@ pub mod profile;
 pub mod report;
 pub mod scenario;
 pub mod shard;
+#[cfg(test)]
+mod source_hash;
 pub mod specfile;
 pub mod store;
 pub mod tracefile;

@@ -18,7 +18,7 @@ use rcb_stats::Table;
 /// * **2** — per-cell `topology` (connectivity graph of the cell's trials;
 ///   `"complete"` is the paper's single-hop model) and `helper_events`
 ///   (count per distinct `MultiCastAdv` helper `(epoch, phase)`).
-/// * **3** — header `code_version` (git revision of the producing binary)
+/// * **3** — header `code_version` (build stamp of the producing binary)
 ///   and per-cell `perf` block ([`CellPerf`]): engine telemetry counter
 ///   sums plus opt-in wall-clock phase timing. The counter leaves are
 ///   deterministic; the wall-clock leaves are host-dependent and are
@@ -34,9 +34,11 @@ use rcb_stats::Table;
 ///   fast-forward gate fell back to the plain slot loop.
 pub const SCHEMA_VERSION: u64 = 5;
 
-/// Git revision baked into this binary at build time (stamped into every
-/// artifact header as `code_version`; `"unknown"` when git was unavailable
-/// at build time).
+/// Build stamp of this binary, `<git12|unknown>+<hash>` (stamped into
+/// every artifact header as `code_version`, and part of every store key).
+/// The hash is a content hash of the campaign's sources (`build.rs`), so it
+/// changes with any source edit; the git revision is only a label, and
+/// `unknown` when git was unavailable at build time.
 pub fn code_version() -> &'static str {
     env!("RCB_CODE_VERSION")
 }

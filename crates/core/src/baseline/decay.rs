@@ -80,6 +80,7 @@ pub struct DecayNode {
 }
 
 impl ProtocolNode for DecayNode {
+    #[inline]
     fn on_selected(&mut self, profile: &SlotProfile, _coin: Coin, rng: &mut Xoshiro256) -> Action {
         if self.informed {
             let p = 0.5f64.powi(profile.seg_minor as i32);
@@ -96,6 +97,7 @@ impl ProtocolNode for DecayNode {
         }
     }
 
+    #[inline]
     fn on_feedback(&mut self, _profile: &SlotProfile, fb: Feedback) {
         if fb == Feedback::Message(Payload::Data) {
             self.informed = true;
@@ -106,6 +108,7 @@ impl ProtocolNode for DecayNode {
         BoundaryDecision::Continue
     }
 
+    #[inline]
     fn is_informed(&self) -> bool {
         self.informed
     }

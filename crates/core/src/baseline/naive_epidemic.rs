@@ -93,6 +93,7 @@ pub struct NaiveNode {
 }
 
 impl ProtocolNode for NaiveNode {
+    #[inline]
     fn on_selected(&mut self, profile: &SlotProfile, _coin: Coin, rng: &mut Xoshiro256) -> Action {
         let ch = rng.gen_range(profile.virt_channels);
         if self.informed {
@@ -105,6 +106,7 @@ impl ProtocolNode for NaiveNode {
         }
     }
 
+    #[inline]
     fn on_feedback(&mut self, _profile: &SlotProfile, fb: Feedback) {
         if fb == Feedback::Message(Payload::Data) {
             self.informed = true;
@@ -115,6 +117,7 @@ impl ProtocolNode for NaiveNode {
         BoundaryDecision::Continue
     }
 
+    #[inline]
     fn is_informed(&self) -> bool {
         self.informed
     }

@@ -131,6 +131,7 @@ impl McNode {
 }
 
 impl ProtocolNode for McNode {
+    #[inline]
     fn on_selected(&mut self, profile: &SlotProfile, coin: Coin, rng: &mut Xoshiro256) -> Action {
         let ch = rng.gen_range(profile.virt_channels);
         match coin {
@@ -151,6 +152,7 @@ impl ProtocolNode for McNode {
         }
     }
 
+    #[inline]
     fn on_feedback(&mut self, _profile: &SlotProfile, fb: Feedback) {
         match fb {
             Feedback::Noise => self.noisy += 1,
@@ -170,6 +172,7 @@ impl ProtocolNode for McNode {
         decision
     }
 
+    #[inline]
     fn is_informed(&self) -> bool {
         self.informed
     }

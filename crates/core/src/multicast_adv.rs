@@ -257,6 +257,7 @@ impl AdvNode {
 }
 
 impl ProtocolNode for AdvNode {
+    #[inline]
     fn on_selected(&mut self, profile: &SlotProfile, coin: Coin, rng: &mut Xoshiro256) -> Action {
         let ch = rng.gen_range(profile.virt_channels);
         if profile.step == 0 {
@@ -288,6 +289,7 @@ impl ProtocolNode for AdvNode {
         }
     }
 
+    #[inline]
     fn on_feedback(&mut self, profile: &SlotProfile, fb: Feedback) {
         if profile.step == 0 {
             // Step one: an uninformed listener that hears m is informed
@@ -360,6 +362,7 @@ impl ProtocolNode for AdvNode {
         BoundaryDecision::Continue
     }
 
+    #[inline]
     fn is_informed(&self) -> bool {
         self.status != AdvStatus::Uninformed
     }

@@ -92,6 +92,7 @@ pub struct MultiHopNode {
 }
 
 impl ProtocolNode for MultiHopNode {
+    #[inline]
     fn on_selected(&mut self, profile: &SlotProfile, coin: Coin, rng: &mut Xoshiro256) -> Action {
         let ch = rng.gen_range(profile.virt_channels);
         match coin {
@@ -104,6 +105,7 @@ impl ProtocolNode for MultiHopNode {
         }
     }
 
+    #[inline]
     fn on_feedback(&mut self, _profile: &SlotProfile, fb: Feedback) {
         if fb == Feedback::Message(Payload::Data) {
             self.informed = true;
@@ -114,6 +116,7 @@ impl ProtocolNode for MultiHopNode {
         BoundaryDecision::Continue
     }
 
+    #[inline]
     fn is_informed(&self) -> bool {
         self.informed
     }

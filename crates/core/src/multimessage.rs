@@ -124,6 +124,7 @@ impl MultiMessageNode {
 }
 
 impl ProtocolNode for MultiMessageNode {
+    #[inline]
     fn on_selected(&mut self, profile: &SlotProfile, coin: Coin, rng: &mut Xoshiro256) -> Action {
         match coin {
             Coin::One if self.mask != self.full => Action::Listen {
@@ -140,6 +141,7 @@ impl ProtocolNode for MultiMessageNode {
         }
     }
 
+    #[inline]
     fn on_feedback(&mut self, _profile: &SlotProfile, fb: Feedback) {
         if let Feedback::Message(Payload::Msg(j)) = fb {
             if u32::from(j) < 64 {
@@ -152,10 +154,12 @@ impl ProtocolNode for MultiMessageNode {
         BoundaryDecision::Continue
     }
 
+    #[inline]
     fn is_informed(&self) -> bool {
         self.mask == self.full
     }
 
+    #[inline]
     fn informed_mask(&self) -> u64 {
         self.mask
     }

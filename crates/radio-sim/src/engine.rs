@@ -37,14 +37,23 @@
 //!    most gap draws from a 4 KiB gap guide instead of `ln`, with exactly
 //!    the gaps and RNG consumption the inversion gives, so the guide moves
 //!    no output bit (the exactness argument is in [`crate::sampler`]).
-//!    Each selected node
-//!    chooses its concrete action and channel, and the action executes as
-//!    soon as it is chosen: the node is charged one unit of energy and
+//!    The sampler ([`TwoClassRoundStream::next_round_into`]) is one
+//!    out-of-line call per round that writes the round's actors into two
+//!    `n`-length class buffers allocated once per run, and returns the two
+//!    cursors; the loop walks `class1[..n1]`, then `class2[..n2]`. Each
+//!    selected node chooses its concrete action and channel (the
+//!    protocols' per-actor callbacks are `#[inline]`, so they inline into
+//!    this monomorphized loop), and the action executes as soon as it is
+//!    chosen: the node is charged one unit of energy and
 //!    registered as a listener or broadcaster of the slot. Only a
 //!    round-simulated protocol (`round_len > 1`) buffers the actions it aims
 //!    at a later sub-slot of the round; they execute, and are charged, when
 //!    that sub-slot is stepped, so a slot cap that falls mid-round charges
-//!    only the sub-slots that ran.
+//!    only the sub-slots that ran. The loop tracks the sub-slot with a
+//!    counter rather than `(slot − seg_start) % round_len`: it steps with
+//!    each stepped slot, resets at segment starts and stays 0 across
+//!    fast-forward spans, which are whole rounds (except the span at the
+//!    cap, which ends the run).
 //! 2. **Jamming**, after every selection of the slot: the adversary is asked
 //!    which channels she jams (slot index and channel count; an adaptive
 //!    Eve also sees the previous slot's band); the engine charges her budget
@@ -695,9 +704,11 @@ fn run_core<'e, P: Protocol>(
 
     let mut totals = SlotStats::default();
 
-    // Scratch buffers reused across slots.
-    let mut class1: Vec<u32> = Vec::new();
-    let mut class2: Vec<u32> = Vec::new();
+    // Scratch buffers reused across slots. A round's two actor classes are
+    // `class1[..n1]` and `class2[..n2]` at the cursors the sampler returns;
+    // a round has at most `n` actors, so the buffers never grow.
+    let mut class1: Vec<u32> = vec![0; n as usize];
+    let mut class2: Vec<u32> = vec![0; n as usize];
     // Actions a round-simulated protocol aims at a later sub-slot of the
     // current round, indexed by sub-slot (entry 0 stays empty: sub-slot 0
     // actions execute as they are selected).
@@ -722,6 +733,11 @@ fn run_core<'e, P: Protocol>(
 
     let mut slot: u64 = 0;
     let mut prof = checked_profile(protocol.segment(0), n);
+    // Sub-slot of `slot` within its round, `(slot - seg_start) % round_len`
+    // without the division: it steps with each stepped slot, resets at
+    // segment starts and stays 0 across spans, which are whole rounds
+    // (except the span at the cap, which ends the run).
+    let mut sub: u64 = 0;
     let mut seg_start: u64 = 0;
     let mut seg_end: u64 = prof.seg_len; // profiles have seg_len >= 1
     let sparse = cfg.sampling == Sampling::Sparse;
@@ -746,7 +762,11 @@ fn run_core<'e, P: Protocol>(
 
     while slot < cfg.max_slots {
         let round_len = prof.round_len as u64;
-        let sub = (slot - seg_start) % round_len;
+        debug_assert_eq!(
+            sub,
+            (slot - seg_start) % round_len,
+            "sub-slot counter drifted"
+        );
         let mut fast_forwarded = false;
 
         // --- 0. Apply pending schedule events at round starts ----------------
@@ -935,28 +955,29 @@ fn run_core<'e, P: Protocol>(
                         round_buf.resize_with(round_len as usize, Vec::new);
                     }
                 }
-                class1.clear();
-                class2.clear();
-                match cfg.sampling {
-                    Sampling::Sparse => {
-                        // The stream is absent only while every node is
-                        // crashed; dead-air slots sample no actors.
-                        if let Some(s) = stream.as_mut() {
-                            s.next_round(&mut engine_rng, &mut class1, &mut class2);
-                        }
-                    }
+                let (n1, n2) = match cfg.sampling {
+                    // The stream is absent only while every node is
+                    // crashed; dead-air slots sample no actors.
+                    Sampling::Sparse => match stream.as_mut() {
+                        Some(s) => s.next_round_into(&mut engine_rng, &mut class1, &mut class2),
+                        None => (0, 0),
+                    },
                     Sampling::DensePerNode => {
+                        let (mut n1, mut n2) = (0, 0);
                         for (idx, &nid) in active.iter().enumerate() {
                             let u = node_rngs[nid as usize].next_f64();
                             if u < prof.p1 {
-                                class1.push(idx as u32);
+                                class1[n1] = idx as u32;
+                                n1 += 1;
                             } else if u < prof.p1 + prof.p2 {
-                                class2.push(idx as u32);
+                                class2[n2] = idx as u32;
+                                n2 += 1;
                             }
                         }
+                        (n1, n2)
                     }
-                }
-                for (list, coin) in [(&class1, Coin::One), (&class2, Coin::Two)] {
+                };
+                for (list, coin) in [(&class1[..n1], Coin::One), (&class2[..n2], Coin::Two)] {
                     for &idx in list.iter() {
                         let nid = active[idx as usize];
                         let action = nodes[nid as usize].on_selected(
@@ -1115,6 +1136,10 @@ fn run_core<'e, P: Protocol>(
 
             tel.slots_stepped += 1;
             slot += 1;
+            sub += 1;
+            if sub == round_len {
+                sub = 0;
+            }
         }
 
         // --- 5. Segment boundary ---------------------------------------------
@@ -1165,6 +1190,7 @@ fn run_core<'e, P: Protocol>(
             if (!active.is_empty() || next_event_idx < sched.len()) && slot < cfg.max_slots {
                 prof = checked_profile(protocol.segment(slot), n);
                 seg_start = slot;
+                sub = 0;
                 seg_end = slot.saturating_add(prof.seg_len);
                 if sparse {
                     // Fresh stream per segment: probabilities and the active
@@ -2130,6 +2156,116 @@ mod tests {
                 "cost {} exceeds rounds {rounds}",
                 n.cost()
             );
+        }
+    }
+
+    /// The sub-slot counter where it could drift from `(slot − seg_start) %
+    /// round_len`: a sparse round-simulated relay (4-slot rounds, 100-round
+    /// segments, so fast-forward engages; nodes never halt, so the run
+    /// lasts until the cap) under schedule events that fall
+    /// mid-round, a crash and a recovery that restart the sampling stream
+    /// mid-segment, and a slot cap that ends the run mid-round. The
+    /// counter's `debug_assert` checks every iteration of the debug build;
+    /// fast-forward on and off must agree on the outcome, the trace and
+    /// every telemetry counter the stepped/span split does not move.
+    #[test]
+    fn sub_slot_counter_survives_events_crashes_and_a_mid_round_cap() {
+        struct SparseRounds;
+        impl Protocol for SparseRounds {
+            type Node = RelayNode;
+            fn num_nodes(&self) -> u32 {
+                16
+            }
+            fn segment(&mut self, _s: u64) -> SlotProfile {
+                SlotProfile {
+                    p1: 0.01,
+                    p2: 0.01,
+                    channels: 2,
+                    virt_channels: 8,
+                    round_len: 4,
+                    seg_len: 400,
+                    seg_major: 0,
+                    seg_minor: 0,
+                    step: 0,
+                }
+            }
+            fn make_node(&self, _id: u32, is_source: bool) -> RelayNode {
+                RelayNode {
+                    informed: is_source,
+                }
+            }
+        }
+        struct EveryThird;
+        impl Adversary for EveryThird {
+            fn jam(&mut self, slot: u64, _channels: u64) -> JamSet {
+                if slot.is_multiple_of(3) {
+                    JamSet::Prefix(1)
+                } else {
+                    JamSet::Empty
+                }
+            }
+            fn budget(&self) -> u64 {
+                1_500
+            }
+        }
+        let half: Vec<u32> = (0..8).collect();
+        let sched = WorldSchedule::new()
+            .at(
+                702,
+                WorldEvent::Partition {
+                    groups: vec![half.clone(), (8..16).collect()],
+                },
+            )
+            .at(
+                1501,
+                WorldEvent::CrashNodes {
+                    nodes: half.clone(),
+                },
+            )
+            .at(2603, WorldEvent::RecoverNodes { nodes: half })
+            .at(3999, WorldEvent::Heal)
+            .at(4405, WorldEvent::SetLinkLoss { p: 0.5 });
+        // 6001 is one slot into a round.
+        let cap = 6_001;
+        for seed in 1..=6u64 {
+            let run_mode = |fast_forward: bool| {
+                let mut obs = RecordingObserver::new();
+                let cfg = EngineConfig {
+                    fast_forward,
+                    ..EngineConfig::capped(cap)
+                };
+                let (out, tel) = Simulation::new(&mut SparseRounds)
+                    .adversary(&mut EveryThird)
+                    .schedule(&sched)
+                    .config(cfg)
+                    .observer(&mut obs)
+                    .run_with_telemetry(seed);
+                (out, tel, obs.events, obs.growth)
+            };
+            let (fast, fast_tel, fast_events, fast_growth) = run_mode(true);
+            let (slow, slow_tel, slow_events, slow_growth) = run_mode(false);
+            assert_eq!(fast, slow, "seed {seed}");
+            assert_eq!(fast_events, slow_events, "seed {seed}");
+            assert_eq!(fast_growth, slow_growth, "seed {seed}");
+            let counters = |t: &EngineTelemetry| {
+                (
+                    t.slots_total(),
+                    t.rng_engine_draws,
+                    t.rng_node_draws,
+                    t.jam_spent_stepped + t.jam_spent_spans,
+                    t.schedule_events,
+                    t.crashed_node_slots,
+                )
+            };
+            assert_eq!(counters(&fast_tel), counters(&slow_tel), "seed {seed}");
+            assert!(
+                fast_tel.spans > 0,
+                "seed {seed}: fast-forward never engaged"
+            );
+            assert_eq!(slow_tel.spans, 0);
+            assert_eq!(fast.slots, cap, "seed {seed}: the cap ends the run");
+            let applied: Vec<u64> = fast.timeline.iter().map(|m| m.applied_at).collect();
+            assert_eq!(applied, [704, 1504, 2604, 4000, 4408], "seed {seed}");
         }
     }
 

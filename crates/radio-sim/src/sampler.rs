@@ -46,6 +46,29 @@
 //! itself, so the guide needs no claim about them. [`geometric_gap`] keeps
 //! the plain inversion for its other callers ([`bernoulli_subset`] and the
 //! adversaries' sojourn jumps).
+//!
+//! # The round sampler
+//!
+//! [`TwoClassRoundStream::next_round_into`] is the engine's per-round
+//! actor sampler, and its shape is chosen for the slot loop:
+//! - *Two cursors, no pushes.* Each actor's index is stored into both
+//!   caller-owned class slices and only its class's cursor advances
+//!   (`n1 += first; n2 += !first`). A push onto the vector the
+//!   unpredictable class coin picks reloads that vector's pointer and
+//!   length on every actor.
+//! - *The class rule once per call.* `gen_bool(frac1)` has draw-free cases
+//!   (one-sided classes, `frac1 ≤ 0`, `frac1 ≥ 1`); the stream resolves
+//!   them when it opens, and a call matches on the rule once and runs an
+//!   actor loop specialized to it. The draw-free cases draw nothing, as
+//!   `gen_bool` does not.
+//! - *Register-resident state.* The RNG and the carried gap are copied
+//!   into locals and written back once per call; updated through the
+//!   `&mut`, the generator's four state words and draw count would go back
+//!   to memory on every draw. A guide miss takes its `ln` through a cold,
+//!   out-of-line helper, so the call's spills stay off the guided path.
+//! - *Out of line.* The sampler is `#[inline(never)]`: inlined into the
+//!   engine's slot loop it competes with that loop for registers, and the
+//!   same code measured slower there.
 
 use crate::rng::Xoshiro256;
 
@@ -254,10 +277,17 @@ impl std::fmt::Debug for GapGuide {
 /// `gap / m` whole rounds select nobody, so the engine can fast-forward
 /// them in O(1) ([`skip_rounds`](Self::skip_rounds)) and produce the exact
 /// same downstream stream state as if it had executed them one by one
-/// ([`next_round`](Self::next_round) on an empty round just subtracts `m`).
+/// ([`next_round_into`](Self::next_round_into) on an empty round just
+/// subtracts `m`).
 ///
 /// Selected actors are thinned into class 1 (probability `p1 / (p1 + p2)`)
-/// or class 2 with one Bernoulli draw each, as in [`sample_two_class`].
+/// or class 2 with one `gen_bool` draw each, as in [`sample_two_class`].
+/// Which of `gen_bool`'s cases applies is fixed when the stream opens: a
+/// one-sided segment, or a class-1 fraction that rounds to `≤ 0` or `≥ 1`,
+/// sends every actor to one class and draws no class word, exactly as
+/// `gen_bool` would not; otherwise each actor draws one word. A round
+/// matches on that rule once, so its actor loop has no per-actor branch
+/// on the rule.
 ///
 /// When at least half of the segment's gaps are below 64 (`q⁶⁴ ≤ ½` with
 /// `q = 1 − p1 − p2`), the stream builds a 4 KiB *gap guide* on opening
@@ -271,9 +301,8 @@ impl std::fmt::Debug for GapGuide {
 pub struct TwoClassRoundStream {
     m: u64,
     total: f64,
-    frac1: f64,
-    p1: f64,
-    p2: f64,
+    /// How each actor picks its class (fixed for the segment).
+    coin: ClassCoin,
     /// `ln(1 − total)` when `0 < total < 1` (unused otherwise).
     ln_q: f64,
     /// The segment's gap guide (see the module docs), if it has one.
@@ -281,6 +310,18 @@ pub struct TwoClassRoundStream {
     /// Concatenated-process indices still to skip before the next selected
     /// node. `u64::MAX` means "no further selection, ever".
     gap: u64,
+}
+
+/// The class rule of a segment: `gen_bool(frac1)` with `frac1 = p1 / (p1 +
+/// p2)`, its draw-free cases resolved once.
+#[derive(Clone, Copy, Debug)]
+enum ClassCoin {
+    /// Every actor lands in class 1 (`true`) or class 2 (`false`) without
+    /// a draw: one-sided classes, or `frac1 ≥ 1` / `frac1 ≤ 0`.
+    Fixed(bool),
+    /// Each actor draws one word and joins class 1 iff its uniform is
+    /// below `frac1` (`0 < frac1 < 1`).
+    Draw(f64),
 }
 
 impl TwoClassRoundStream {
@@ -299,34 +340,33 @@ impl TwoClassRoundStream {
             "action probabilities must satisfy p1 + p2 <= 1 (got {p1} + {p2})"
         );
         assert!(m > 0, "a segment needs at least one active node");
+        let frac1 = if total > 0.0 { p1 / total } else { 0.0 };
+        // `gen_bool(p)` answers `p ≤ 0` and `p ≥ 1` without a draw.
+        let coin = if p2 <= 0.0 || frac1 >= 1.0 {
+            ClassCoin::Fixed(true)
+        } else if p1 <= 0.0 || frac1 <= 0.0 {
+            ClassCoin::Fixed(false)
+        } else {
+            ClassCoin::Draw(frac1)
+        };
         let draws_gaps = total > 0.0 && total < 1.0;
         let ln_q = if draws_gaps { (1.0 - total).ln() } else { 0.0 };
-        let mut stream = Self {
+        let guide = GapGuide::new(ln_q);
+        let gap = if total <= 0.0 {
+            u64::MAX
+        } else if draws_gaps {
+            guided_gap(rng, guide.as_ref(), ln_q)
+        } else {
+            0
+        };
+        Self {
             m: m as u64,
             total,
-            frac1: if total > 0.0 { p1 / total } else { 0.0 },
-            p1,
-            p2,
+            coin,
             ln_q,
-            guide: GapGuide::new(ln_q),
-            gap: if total <= 0.0 { u64::MAX } else { 0 },
-        };
-        if draws_gaps {
-            stream.gap = stream.draw_gap(rng);
+            guide,
+            gap,
         }
-        stream
-    }
-
-    /// One geometric gap draw from the segment's cached `ln(1 − p)`: one
-    /// word, answered by the guide when it can, otherwise inverted exactly
-    /// as [`geometric_gap`] would invert it.
-    #[inline]
-    fn draw_gap(&self, rng: &mut Xoshiro256) -> u64 {
-        let word = rng.next_u64();
-        if let Some(gap) = self.guide.as_ref().and_then(|g| g.gap(word)) {
-            return gap;
-        }
-        gap_from_uniform(Xoshiro256::unit_f64(word), self.ln_q)
     }
 
     /// Number of whole rounds, starting at the current round, that are
@@ -353,53 +393,90 @@ impl TwoClassRoundStream {
         }
     }
 
-    /// Sample the acting subset of the current round, appending node
-    /// indices (in `[0, m)`, strictly increasing) to `class1`/`class2`,
-    /// then advance to the next round.
-    pub fn next_round(
+    /// Sample the acting subset of the current round, then advance to the
+    /// next round. Returns `(n1, n2)`: `class1[..n1]` and `class2[..n2]`
+    /// are the two classes' node indices (in `[0, m)`, strictly
+    /// increasing). Each actor's index is written to both slices and only
+    /// its class's cursor advances; the caller sizes the slices once for
+    /// its largest pool, since a round has at most `m` actors. Out of line,
+    /// with the RNG in locals: see "The round sampler" in the module docs.
+    ///
+    /// # Panics
+    /// Panics if a slice is shorter than the round's actor count.
+    #[inline(never)]
+    pub fn next_round_into(
         &mut self,
         rng: &mut Xoshiro256,
-        class1: &mut Vec<u32>,
-        class2: &mut Vec<u32>,
-    ) {
-        if self.total >= 1.0 {
-            // Every node acts every round; only the class draw remains.
-            for idx in 0..self.m as u32 {
-                self.classify(rng, idx, class1, class2);
+        class1: &mut [u32],
+        class2: &mut [u32],
+    ) -> (usize, usize) {
+        match self.coin {
+            ClassCoin::Fixed(first) => self.fill_round(rng, class1, class2, |_| first),
+            ClassCoin::Draw(frac1) => {
+                self.fill_round(rng, class1, class2, |r| r.next_f64() < frac1)
             }
-            return;
-        }
-        while self.gap < self.m {
-            let idx = self.gap as u32;
-            self.classify(rng, idx, class1, class2);
-            let g = self.draw_gap(rng);
-            self.gap = (self.gap + 1).saturating_add(g);
-        }
-        if self.gap != u64::MAX {
-            self.gap -= self.m;
         }
     }
 
-    /// Thin one actor into its class. With the paper's coin (`p1 = p2`)
-    /// the draw is an unpredictable 50/50, so the list is chosen from it
-    /// and pushed once rather than branched on.
-    #[inline]
-    fn classify(
-        &self,
+    /// The actor loop of [`next_round_into`](Self::next_round_into), for
+    /// one class rule: `coin` answers "class 1?" per actor, class draw
+    /// first, then the actor's gap draw, as in the inversion stream.
+    #[inline(always)]
+    fn fill_round(
+        &mut self,
         rng: &mut Xoshiro256,
-        idx: u32,
-        class1: &mut Vec<u32>,
-        class2: &mut Vec<u32>,
-    ) {
-        let first = if self.p2 <= 0.0 {
-            true
-        } else if self.p1 <= 0.0 {
-            false
-        } else {
-            rng.gen_bool(self.frac1)
+        class1: &mut [u32],
+        class2: &mut [u32],
+        mut coin: impl FnMut(&mut Xoshiro256) -> bool,
+    ) -> (usize, usize) {
+        let mut r = rng.clone();
+        let mut gap = self.gap;
+        let (m, ln_q, guide) = (self.m, self.ln_q, self.guide.as_ref());
+        let (mut n1, mut n2) = (0usize, 0usize);
+        let mut place = |idx: u32, first: bool| {
+            class1[n1] = idx;
+            class2[n2] = idx;
+            n1 += first as usize;
+            n2 += !first as usize;
         };
-        if first { class1 } else { class2 }.push(idx);
+        if self.total >= 1.0 {
+            // Every node acts every round; only the class draw remains.
+            for idx in 0..m as u32 {
+                place(idx, coin(&mut r));
+            }
+        } else {
+            while gap < m {
+                place(gap as u32, coin(&mut r));
+                gap = (gap + 1).saturating_add(guided_gap(&mut r, guide, ln_q));
+            }
+            if gap != u64::MAX {
+                gap -= m;
+            }
+        }
+        *rng = r;
+        self.gap = gap;
+        (n1, n2)
     }
+}
+
+/// One geometric gap draw from a segment's cached `ln(1 − p)`: one word,
+/// answered by the guide when it can, otherwise inverted exactly as
+/// [`geometric_gap`] would invert it.
+#[inline(always)]
+fn guided_gap(rng: &mut Xoshiro256, guide: Option<&GapGuide>, ln_q: f64) -> u64 {
+    let word = rng.next_u64();
+    match guide.and_then(|g| g.gap(word)) {
+        Some(gap) => gap,
+        None => invert_word(word, ln_q),
+    }
+}
+
+/// The inversion of a draw word no guide answers. Cold and out of line, so
+/// the `ln` call's register spills stay off the guided path.
+#[cold]
+#[inline(never)]
+fn invert_word(word: u64, ln_q: f64) -> u64 {
+    gap_from_uniform(Xoshiro256::unit_f64(word), ln_q)
 }
 
 #[cfg(test)]
@@ -573,6 +650,17 @@ mod tests {
         sample_two_class(&mut rng, 10, 0.7, 0.7, &mut c1, &mut c2, &mut scratch);
     }
 
+    /// One [`TwoClassRoundStream::next_round_into`] round through buffers
+    /// sized for the whole pool, returned as the two class lists.
+    fn round(stream: &mut TwoClassRoundStream, rng: &mut Xoshiro256) -> (Vec<u32>, Vec<u32>) {
+        let m = stream.m as usize;
+        let (mut c1, mut c2) = (vec![0; m], vec![0; m]);
+        let (n1, n2) = stream.next_round_into(rng, &mut c1, &mut c2);
+        c1.truncate(n1);
+        c2.truncate(n2);
+        (c1, c2)
+    }
+
     /// The carried-gap stream must produce the same per-round selection
     /// distribution as independent per-round sampling.
     #[test]
@@ -582,15 +670,12 @@ mod tests {
         let rounds_per_stream = 50;
         let streams = 800;
         let mut rng = Xoshiro256::seeded(404);
-        let (mut c1, mut c2) = (Vec::new(), Vec::new());
         let (mut n1, mut n2) = (0usize, 0usize);
         let mut hits = vec![0u64; m];
         for _ in 0..streams {
             let mut stream = TwoClassRoundStream::new(&mut rng, m, p1, p2);
             for _ in 0..rounds_per_stream {
-                c1.clear();
-                c2.clear();
-                stream.next_round(&mut rng, &mut c1, &mut c2);
+                let (c1, c2) = round(&mut stream, &mut rng);
                 for w in c1.windows(2) {
                     assert!(w[0] < w[1]);
                 }
@@ -625,8 +710,6 @@ mod tests {
         let mut rng_b = Xoshiro256::seeded(9);
         let mut a = TwoClassRoundStream::new(&mut rng_a, m, p, p);
         let mut b = TwoClassRoundStream::new(&mut rng_b, m, p, p);
-        let (mut c1a, mut c2a) = (Vec::new(), Vec::new());
-        let (mut c1b, mut c2b) = (Vec::new(), Vec::new());
         let mut skipped = 0u64;
         for _ in 0..2_000 {
             let ahead = a.empty_rounds_ahead();
@@ -635,21 +718,14 @@ mod tests {
                 // a jumps; b steps through each empty round.
                 a.skip_rounds(ahead);
                 for _ in 0..ahead {
-                    c1b.clear();
-                    c2b.clear();
-                    b.next_round(&mut rng_b, &mut c1b, &mut c2b);
+                    let (c1b, c2b) = round(&mut b, &mut rng_b);
                     assert!(c1b.is_empty() && c2b.is_empty(), "round was not empty");
                 }
                 skipped += ahead;
             }
-            c1a.clear();
-            c2a.clear();
-            c1b.clear();
-            c2b.clear();
-            a.next_round(&mut rng_a, &mut c1a, &mut c2a);
-            b.next_round(&mut rng_b, &mut c1b, &mut c2b);
-            assert_eq!(c1a, c1b);
-            assert_eq!(c2a, c2b);
+            let (c1a, c2a) = round(&mut a, &mut rng_a);
+            let (c1b, c2b) = round(&mut b, &mut rng_b);
+            assert_eq!((&c1a, &c2a), (&c1b, &c2b));
             assert!(!c1a.is_empty() || !c2a.is_empty(), "post-skip round empty");
         }
         assert!(skipped > 1_000, "sparse stream should skip many rounds");
@@ -658,26 +734,25 @@ mod tests {
     #[test]
     fn round_stream_degenerate_probabilities() {
         let mut rng = Xoshiro256::seeded(7);
-        let (mut c1, mut c2) = (Vec::new(), Vec::new());
         // p1 + p2 == 0: nobody ever acts, infinitely many empty rounds.
         let mut none = TwoClassRoundStream::new(&mut rng, 10, 0.0, 0.0);
         assert_eq!(none.empty_rounds_ahead(), u64::MAX);
-        none.next_round(&mut rng, &mut c1, &mut c2);
+        let (c1, c2) = round(&mut none, &mut rng);
         assert!(c1.is_empty() && c2.is_empty());
         none.skip_rounds(1 << 40); // no-op, must not underflow
         assert_eq!(none.empty_rounds_ahead(), u64::MAX);
         // p1 + p2 == 1: everyone acts every round.
         let mut all = TwoClassRoundStream::new(&mut rng, 10, 0.5, 0.5);
         assert_eq!(all.empty_rounds_ahead(), 0);
-        all.next_round(&mut rng, &mut c1, &mut c2);
+        let (c1, c2) = round(&mut all, &mut rng);
         assert_eq!(c1.len() + c2.len(), 10);
         // One-sided classes take the draw-free path.
-        c1.clear();
-        c2.clear();
         let mut one_sided = TwoClassRoundStream::new(&mut rng, 100, 1.0, 0.0);
-        one_sided.next_round(&mut rng, &mut c1, &mut c2);
-        assert_eq!(c1.len(), 100);
+        let draws = rng.draws();
+        let (c1, c2) = round(&mut one_sided, &mut rng);
+        assert_eq!(c1, (0..100).collect::<Vec<u32>>());
         assert!(c2.is_empty());
+        assert_eq!(rng.draws(), draws, "a one-sided full round draws nothing");
     }
 
     /// The inversion as written before the floor was dropped: the
@@ -891,8 +966,9 @@ mod tests {
         assert!(answered > 200_000, "{answered} draws answered");
     }
 
-    /// `TwoClassRoundStream` as it was before the gap guide: every gap is a
-    /// [`geometric_gap`] inversion.
+    /// `TwoClassRoundStream` as it was before the gap guide and the
+    /// two-cursor slices: every gap is a [`geometric_gap`] inversion, and
+    /// every actor's class is a `gen_bool` pushed onto a list.
     struct InversionStream {
         m: u64,
         total: f64,
@@ -973,6 +1049,46 @@ mod tests {
         }
     }
 
+    /// Runs one segment through the stream and the inversion stream for 30
+    /// rounds, skipping part of every run of empty rounds, and requires the
+    /// same class lists, empty rounds and draw counts round by round.
+    fn assert_matches_inversion(
+        label: &str,
+        m: usize,
+        (p1, p2): (f64, f64),
+        seed: u64,
+        params: &mut Xoshiro256,
+    ) {
+        let mut rng = Xoshiro256::seeded(seed);
+        let mut reference_rng = rng.clone();
+        let mut stream = TwoClassRoundStream::new(&mut rng, m, p1, p2);
+        let mut reference = InversionStream::new(&mut reference_rng, m, p1, p2);
+        let (mut r1, mut r2) = (Vec::new(), Vec::new());
+        for round_no in 0..30 {
+            let ahead = stream.empty_rounds_ahead();
+            assert_eq!(
+                ahead,
+                reference.empty_rounds_ahead(),
+                "{label}, round {round_no}"
+            );
+            if ahead > 0 && ahead != u64::MAX {
+                let k = 1 + params.gen_range(ahead.min(1 << 20));
+                stream.skip_rounds(k);
+                reference.skip_rounds(k);
+            }
+            r1.clear();
+            r2.clear();
+            let (c1, c2) = round(&mut stream, &mut rng);
+            reference.next_round(&mut reference_rng, &mut r1, &mut r2);
+            assert_eq!((&c1, &c2), (&r1, &r2), "{label}, round {round_no}");
+            assert_eq!(
+                rng.draws(),
+                reference_rng.draws(),
+                "{label}, round {round_no}"
+            );
+        }
+    }
+
     /// Round by round, the guided stream selects the same classes, reports
     /// the same empty rounds and consumes the same draws as the inversion
     /// stream, over random segments including one-class and degenerate ones.
@@ -980,7 +1096,6 @@ mod tests {
     fn round_stream_equals_the_inversion_stream() {
         let mut params = Xoshiro256::seeded(0x57E4);
         let (lo, hi) = (1e-4f64, -f64::EPSILON.ln());
-        let (mut c1, mut c2, mut r1, mut r2) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         for case in 0..1_500u64 {
             let m = 1 + params.gen_range(200) as usize;
             let total = match case % 8 {
@@ -989,7 +1104,7 @@ mod tests {
                 2 => params.next_f64() * 0.01,
                 _ => 1.0 - (-(lo * (hi / lo).powf(params.next_f64()))).exp(),
             };
-            let (p1, p2) = match params.gen_range(4) {
+            let probs = match params.gen_range(4) {
                 0 => (total, 0.0),
                 1 => (0.0, total),
                 _ => {
@@ -997,34 +1112,46 @@ mod tests {
                     (total * split, total * (1.0 - split))
                 }
             };
-            let mut rng = Xoshiro256::seeded(case);
-            let mut reference_rng = rng.clone();
-            let mut stream = TwoClassRoundStream::new(&mut rng, m, p1, p2);
-            let mut reference = InversionStream::new(&mut reference_rng, m, p1, p2);
-            for round in 0..30 {
-                let ahead = stream.empty_rounds_ahead();
-                assert_eq!(
-                    ahead,
-                    reference.empty_rounds_ahead(),
-                    "case {case}, round {round}"
-                );
-                if ahead > 0 && ahead != u64::MAX {
-                    let k = 1 + params.gen_range(ahead.min(1 << 20));
-                    stream.skip_rounds(k);
-                    reference.skip_rounds(k);
-                }
-                c1.clear();
-                c2.clear();
-                r1.clear();
-                r2.clear();
-                stream.next_round(&mut rng, &mut c1, &mut c2);
-                reference.next_round(&mut reference_rng, &mut r1, &mut r2);
-                assert_eq!((&c1, &c2), (&r1, &r2), "case {case}, round {round}");
-                assert_eq!(
-                    rng.draws(),
-                    reference_rng.draws(),
-                    "case {case}, round {round}"
-                );
+            assert_matches_inversion(&format!("case {case}"), m, probs, case, &mut params);
+        }
+    }
+
+    /// Every class rule against the inversion stream: the draw-free ones
+    /// (one-sided classes, `frac1` rounding to exactly 1 or to `≤ 0`) must
+    /// draw no class word, and the drawn coin one per actor, at totals
+    /// below, at and just above 1.
+    #[test]
+    fn round_stream_equals_the_inversion_stream_for_every_class_rule() {
+        // (p1, p2, the rule: `Some(class 1?)` if no class word is drawn).
+        let cases = [
+            (0.3, 0.0, Some(true)),
+            (0.0, 0.3, Some(false)),
+            (1.0, 0.0, Some(true)),
+            (0.0, 1.0, Some(false)),
+            // p1 + p2 ≥ 1: every node acts every round.
+            (0.5, 0.5, None),
+            (0.6, 0.4 + 5e-13, None),
+            // 0.5 + 1e-17 rounds to 0.5, so frac1 is exactly 1.0.
+            (0.5, 1e-17, Some(true)),
+            // frac1 = p1 / total ≥ p1 / (1 + 1e-12) never rounds to 0 for
+            // p1 > 0, so `frac1 ≤ 0` is a zero p1, signed or not; the
+            // smallest positive p1 still draws its coin.
+            (-0.0, 0.3, Some(false)),
+            (1e-17, 0.5, None),
+            (f64::from_bits(1), 0.5, None),
+            (1.0 / 64.0, 1.0 / 64.0, None),
+        ];
+        let mut params = Xoshiro256::seeded(0xC1A5);
+        for (p1, p2, fixed) in cases {
+            let mut rng = Xoshiro256::seeded(0);
+            match (TwoClassRoundStream::new(&mut rng, 8, p1, p2).coin, fixed) {
+                (ClassCoin::Fixed(first), Some(want)) => assert_eq!(first, want, "{p1} + {p2}"),
+                (ClassCoin::Draw(_), None) => {}
+                (coin, _) => panic!("{p1} + {p2}: rule {coin:?}, want {fixed:?}"),
+            }
+            for (k, m) in [1usize, 7, 64, 200].into_iter().enumerate() {
+                let label = format!("p1 = {p1:e}, p2 = {p2:e}, m = {m}");
+                assert_matches_inversion(&label, m, (p1, p2), 0xC1A5 + k as u64, &mut params);
             }
         }
     }
