@@ -21,6 +21,7 @@
 //! throughput is the quantity the fast-forward work optimizes, and thread
 //! scaling is the campaign engine's (already measured) job.
 
+use crate::checkpoint::{fnv1a64, FNV_BASIS};
 use crate::json::Json;
 use crate::report::{code_version, CellPerf};
 use crate::scenario::Scenario;
@@ -282,24 +283,16 @@ impl BenchReport {
     }
 }
 
-/// Stable 64-bit FNV-1a of a scenario name, so per-cell trial seeds are a
-/// pure function of `(bench seed, scenario, cell index, trial)` — benching
-/// a subset of scenarios reproduces exactly the cells the full catalog run
-/// produced.
-pub(crate) fn name_stream(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// The engine master seed bench uses for `trial` of cell `ci` of a named
 /// scenario. Shared with `rcb profile` so a profile reproduces exactly the
-/// trials a bench artifact measured.
+/// trials a bench artifact measured. The scenario enters through the
+/// FNV-1a hash of its name, not its catalog position, so seeds are a pure
+/// function of `(bench seed, scenario, cell index, trial)` — benching a
+/// subset of scenarios reproduces exactly the cells the full catalog run
+/// produced.
 pub(crate) fn bench_trial_seed(bench_seed: u64, scenario_name: &str, ci: usize, trial: u64) -> u64 {
-    let scenario_seed = derive_seed(bench_seed, name_stream(scenario_name));
+    let name_stream = fnv1a64(scenario_name.as_bytes(), FNV_BASIS);
+    let scenario_seed = derive_seed(bench_seed, name_stream);
     derive_seed(scenario_seed, ((ci as u64) << 32) | trial)
 }
 

@@ -486,6 +486,25 @@ fn cmd_shard(rest: &[String]) {
         eprintln!("{e}");
         std::process::exit(2)
     };
+    // Each subcommand takes `--state-dir` plus only its own flags; a flag
+    // of another subcommand would otherwise be parsed and silently dropped.
+    let own_flags: &[&str] = match sub.as_str() {
+        "plan" => &[
+            "--trials",
+            "--seed",
+            "--max-slots",
+            "--checkpoint-every",
+            "--stale-after-ms",
+            "--store",
+        ],
+        "work" => &["--worker-id", "--threads", "--max-trials-then-exit"],
+        "merge" => &["--out"],
+        "status" => &[],
+        _ => {
+            eprintln!("unknown shard subcommand: {sub}");
+            usage()
+        }
+    };
     let mut state_dir: Option<PathBuf> = None;
     let mut name: Option<String> = None;
     let mut out_path: Option<String> = None;
@@ -494,6 +513,16 @@ fn cmd_shard(rest: &[String]) {
     let mut worker_opts = WorkerOptions::default();
     let mut it = rest[1..].iter();
     while let Some(arg) = it.next() {
+        if arg.starts_with('-') && arg != "--state-dir" && !own_flags.contains(&arg.as_str()) {
+            eprintln!(
+                "unknown flag: {arg} (shard {sub} takes --state-dir{})",
+                own_flags
+                    .iter()
+                    .map(|f| format!(", {f}"))
+                    .collect::<String>()
+            );
+            std::process::exit(2)
+        }
         match arg.as_str() {
             "--state-dir" => {
                 state_dir = Some(PathBuf::from(it.next().cloned().unwrap_or_else(|| usage())))
@@ -511,9 +540,9 @@ fn cmd_shard(rest: &[String]) {
             "--threads" => worker_opts.threads = parse(arg, it.next()),
             "--max-trials-then-exit" => worker_opts.max_trials = Some(parse(arg, it.next())),
             "--out" => out_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            bare if !bare.starts_with('-') && name.is_none() => name = Some(bare.to_string()),
+            bare if sub == "plan" && name.is_none() => name = Some(bare.to_string()),
             _ => {
-                eprintln!("unknown flag: {arg}");
+                eprintln!("unexpected argument: {arg}");
                 usage()
             }
         }
@@ -637,10 +666,7 @@ fn cmd_shard(rest: &[String]) {
                 println!("artifact written to {path}");
             }
         }
-        _ => {
-            eprintln!("unknown shard subcommand: {sub}");
-            usage()
-        }
+        _ => unreachable!("subcommand checked above"),
     }
 }
 

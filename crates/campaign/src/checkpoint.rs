@@ -590,6 +590,15 @@ pub(crate) fn load_cell_checkpoint(
 mod tests {
     use super::*;
 
+    /// The shared FNV-1a is the published 64-bit function: store keys,
+    /// shard plan ids and bench trial seeds all stand on it.
+    #[test]
+    fn fnv1a64_matches_the_published_vectors() {
+        assert_eq!(fnv1a64(b"", FNV_BASIS), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a", FNV_BASIS), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar", FNV_BASIS), 0x8594_4171_f739_67e8);
+    }
+
     fn filled_acc(trials: u64, salt: u64) -> CellAccumulator {
         // A deterministic, structurally-rich accumulator: nonzero sketch
         // buckets, helper events, timeline entries, and telemetry.

@@ -2,10 +2,11 @@
 //!
 //! Executes every cell of a [`CampaignSpec`] for `trials_per_cell` seeds,
 //! sharding trials across worker threads, and aggregates **streamingly**:
-//! no `TrialResult` vector is ever materialized. Workers distill each trial
-//! into a ~100-byte `TrialMetrics`, which the harness's ordered pool
-//! ([`rcb_harness::run_ordered`]) hands back to the calling thread to feed
-//! per-cell accumulators (`CellAccumulator`) built from `rcb-stats`
+//! no `TrialResult` vector is ever materialized. Each worker hands its
+//! trial's `(TrialResult, EngineTelemetry)` pair, as
+//! [`run_trial_telemetry`] returns it, through the harness's ordered pool
+//! ([`rcb_harness::run_ordered`]) to the calling thread, which folds it
+//! into a per-cell accumulator (`CellAccumulator`) built from `rcb-stats`
 //! streaming moments and quantile sketches. Memory is `O(cells · sketch)` +
 //! a small reorder window, independent of the trial count: the work
 //! schedule (`TrialSchedule`) is a replicate range per cell, not a list of
@@ -57,7 +58,7 @@ use crate::scenario::{CampaignSpec, CellSpec};
 use crate::store::{checkpoint_key, Store};
 use crate::tracefile::{TraceWriter, TrialTraceObserver};
 use rcb_harness::{cell_trial_seed, run_trial_telemetry, TrialOptions, TrialResult, TrialSpec};
-use rcb_sim::{EngineConfig, EngineTelemetry, ScheduleMarker};
+use rcb_sim::{EngineConfig, EngineTelemetry};
 use rcb_stats::{QuantileSketch, StreamingMoments};
 use std::borrow::Cow;
 use std::ops::ControlFlow;
@@ -96,58 +97,6 @@ impl Default for CampaignConfig {
             max_slots: None,
             progress: false,
             telemetry: false,
-        }
-    }
-}
-
-/// The distilled per-trial record a worker hands to the aggregating
-/// calling thread (through the pool's channel, or directly at one
-/// worker). Near-fixed-size — the helper list is empty for every protocol
-/// except `MultiCastAdv`, where it holds at most one entry per node —
-/// so campaigns never hold meaningful per-trial data beyond the pool's
-/// reorder window.
-#[derive(Clone, Debug)]
-struct TrialMetrics {
-    completion_slots: u64,
-    max_cost: u64,
-    mean_cost: f64,
-    source_cost: u64,
-    eve_spent: u64,
-    completed: bool,
-    all_informed: bool,
-    safety_violations: u64,
-    /// `(epoch, phase)` of each helper-promotion event (`MultiCastAdv`).
-    helper_phases: Vec<(u32, u32)>,
-    /// Crash-model outcome fields (all zero/`survivors == n`-shaped for
-    /// unscheduled cells; only reported on scheduled ones).
-    crashed: u32,
-    survivors: u32,
-    survivors_informed: u32,
-    /// Application markers of the trial's world-schedule events, in spec
-    /// order (a strict prefix of the schedule when the run ended early).
-    timeline: Vec<ScheduleMarker>,
-    /// Engine telemetry of the trial (counters always; phase clocks only
-    /// under [`CampaignConfig::telemetry`]).
-    telemetry: EngineTelemetry,
-}
-
-impl TrialMetrics {
-    fn new(r: &TrialResult, telemetry: EngineTelemetry) -> Self {
-        Self {
-            completion_slots: r.completion_time(),
-            max_cost: r.max_cost,
-            mean_cost: r.mean_cost,
-            source_cost: r.source_cost,
-            eve_spent: r.eve_spent,
-            completed: r.completed,
-            all_informed: r.all_informed,
-            safety_violations: r.safety_violations as u64,
-            helper_phases: r.helper_phases.clone(),
-            crashed: r.crashed,
-            survivors: r.survivors,
-            survivors_informed: r.survivors_informed,
-            timeline: r.timeline.clone(),
-            telemetry,
         }
     }
 }
@@ -239,24 +188,25 @@ impl CellAccumulator {
         }
     }
 
-    fn push(&mut self, m: &TrialMetrics) {
+    /// Fold one trial's result and engine telemetry into the cell.
+    fn push(&mut self, r: &TrialResult, telemetry: &EngineTelemetry) {
         self.trials += 1;
-        self.completed += m.completed as u64;
-        self.all_informed += m.all_informed as u64;
-        self.safety_violations += m.safety_violations;
-        self.completion_slots.push(m.completion_slots as f64);
-        self.max_cost.push(m.max_cost as f64);
-        self.mean_cost.push(m.mean_cost);
-        self.source_cost.push(m.source_cost as f64);
-        self.eve_spent.push(m.eve_spent as f64);
-        for &(epoch, phase) in &m.helper_phases {
+        self.completed += r.completed as u64;
+        self.all_informed += r.all_informed as u64;
+        self.safety_violations += r.safety_violations as u64;
+        self.completion_slots.push(r.completion_time() as f64);
+        self.max_cost.push(r.max_cost as f64);
+        self.mean_cost.push(r.mean_cost);
+        self.source_cost.push(r.source_cost as f64);
+        self.eve_spent.push(r.eve_spent as f64);
+        for &(epoch, phase) in &r.helper_phases {
             *self.helper_events.entry((epoch, phase)).or_insert(0) += 1;
         }
-        self.crashed.push(f64::from(m.crashed));
-        self.survivors.push(f64::from(m.survivors));
+        self.crashed.push(f64::from(r.crashed));
+        self.survivors.push(f64::from(r.survivors));
         self.survivors_informed
-            .push(f64::from(m.survivors_informed));
-        for (i, marker) in m.timeline.iter().enumerate() {
+            .push(f64::from(r.survivors_informed));
+        for (i, marker) in r.timeline.iter().enumerate() {
             match self.timeline.get_mut(i) {
                 Some((applied, min, max)) => {
                     *applied += 1;
@@ -268,7 +218,7 @@ impl CellAccumulator {
                     .push((1, marker.applied_at, marker.applied_at)),
             }
         }
-        self.telemetry.merge(&m.telemetry);
+        self.telemetry.merge(telemetry);
     }
 
     pub(crate) fn report(&self, cell: &CellSpec, max_slots: u64) -> CellReport {
@@ -320,7 +270,7 @@ impl CellAccumulator {
                     .schedule
                     .events
                     .iter()
-                    .map(|(_, e)| e.name().to_string())
+                    .map(|(_, e)| e.kind().to_string())
                     .collect(),
                 // One entry per scheduled event: aggregated markers where
                 // trials reached it, an explicit zero record where none did.
@@ -392,20 +342,21 @@ impl Progress {
         }
     }
 
-    /// Record trial `g`'s metrics as ingested (`expected` of `total` done).
+    /// Record trial `g` as ingested (`expected` of `total` done), with the
+    /// engine telemetry of its run.
     fn tick(
         &mut self,
         spec: &CampaignSpec,
         cfg: &CampaignConfig,
         g: u64,
-        m: &TrialMetrics,
+        telemetry: &EngineTelemetry,
         expected: u64,
         total: u64,
     ) {
         if !self.enabled {
             return;
         }
-        self.slots_done += m.telemetry.slots_total();
+        self.slots_done += telemetry.slots_total();
         if !(expected.is_multiple_of(self.step) || expected == total) {
             return;
         }
@@ -622,17 +573,18 @@ impl CellKeeper<'_> {
             scheduled,
             cfg.threads,
             |i| {
-                let ts = trial_spec(spec, cfg, schedule.trial(i));
-                let (r, tel) = run_trial_telemetry(&ts, trial_options(cfg));
-                TrialMetrics::new(&r, tel)
+                run_trial_telemetry(
+                    &trial_spec(spec, cfg, schedule.trial(i)),
+                    trial_options(cfg),
+                )
             },
-            |i, m| {
+            |i, (r, tel)| {
                 let g = schedule.trial(i);
                 let c = (g / n) as usize;
-                accs[c].push(&m);
+                accs[c].push(&r, &tel);
                 watermarks[c] = g % n + 1;
                 simulated += 1;
-                progress.tick(spec, cfg, g, &m, simulated, scheduled);
+                progress.tick(spec, cfg, g, &tel, simulated, scheduled);
                 let w = watermarks[c];
                 let boundary = w == n
                     || (self.checkpoint_every > 0 && w.is_multiple_of(self.checkpoint_every));
@@ -926,9 +878,8 @@ pub fn run_campaign_traced(
         };
         writer.trial_end(g, &r);
         writer.check()?;
-        let m = TrialMetrics::new(&r, tel);
-        accs[(g / cfg.trials_per_cell) as usize].push(&m);
-        progress.tick(spec, cfg, g, &m, g + 1, total);
+        accs[(g / cfg.trials_per_cell) as usize].push(&r, &tel);
+        progress.tick(spec, cfg, g, &tel, g + 1, total);
     }
     writer.finish()?;
 
@@ -1137,7 +1088,8 @@ mod tests {
     }
 
     fn crash_spec() -> CampaignSpec {
-        use rcb_harness::{ScheduleEventKind, ScheduleSpec};
+        use rcb_harness::ScheduleSpec;
+        use rcb_sim::WorldEvent;
         CampaignSpec {
             name: "sched".into(),
             description: "crash two nodes at slot 0".into(),
@@ -1150,7 +1102,7 @@ mod tests {
             )
             .with_schedule(ScheduleSpec::new().at(
                 0,
-                ScheduleEventKind::CrashNodes {
+                WorldEvent::CrashNodes {
                     nodes: vec![14, 15],
                 },
             ))

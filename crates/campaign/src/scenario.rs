@@ -229,7 +229,7 @@ pub fn describe_campaign(spec: &CampaignSpec, summary: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcb_harness::ScheduleEventKind;
+    use rcb_sim::WorldEvent;
 
     #[test]
     fn registry_has_at_least_eight_unique_scenarios() {
@@ -431,7 +431,7 @@ mod tests {
         let kinds: std::collections::BTreeSet<&str> = spec
             .cells
             .iter()
-            .flat_map(|c| c.schedule.events.iter().map(|(_, e)| e.name()))
+            .flat_map(|c| c.schedule.events.iter().map(|(_, e)| e.kind()))
             .collect();
         for kind in ["swap-eve", "partition", "heal", "crash", "set-link-loss"] {
             assert!(kinds.contains(kind), "missing event family {kind}");
@@ -442,7 +442,7 @@ mod tests {
             .iter()
             .flat_map(|c| c.schedule.events.iter())
             .filter_map(|(_, e)| match e {
-                ScheduleEventKind::CrashNodes { nodes } => Some(nodes.len()),
+                WorldEvent::CrashNodes { nodes } => Some(nodes.len()),
                 _ => None,
             })
             .collect();

@@ -70,7 +70,8 @@
 use crate::jsonin;
 use crate::scenario::{CampaignSpec, CellSpec};
 use crate::Json;
-use rcb_harness::{AdversaryKind, ProtocolKind, ScheduleEventKind, ScheduleSpec, TopologyKind};
+use rcb_harness::{AdversaryKind, ProtocolKind, ScheduleSpec, TopologyKind};
+use rcb_sim::WorldEvent;
 
 /// A spec-file loading error with file/line/key context.
 ///
@@ -769,17 +770,20 @@ fn build_protocol(
     })
 }
 
+/// Build one event table: its slot, the event, and (for `swap-eve`) the
+/// adversary it seats. Schedule rules are left to `ScheduleSpec::try_push`.
 fn build_event(
     t: &mut Table,
     file: &str,
     what: &str,
-) -> Result<(u64, ScheduleEventKind), SpecError> {
+) -> Result<(u64, WorldEvent, Option<AdversaryKind>), SpecError> {
     let slot = req_u64(t, file, what, "slot")?;
     let kind = req_str(t, file, what, "kind")?;
     let event = match kind.as_str() {
         "swap-eve" => {
             let name = req_str(t, file, what, "adversary")?;
-            ScheduleEventKind::SwapEve(build_adversary(t, file, what, &name)?)
+            let swap = build_adversary(t, file, what, &name)?;
+            return Ok((slot, WorldEvent::SwapEve, Some(swap)));
         }
         "partition" => {
             let e = req(t, file, what, "groups")?;
@@ -801,32 +805,24 @@ fn build_event(
                     as_u32_list(&ge, file)
                 })
                 .collect::<Result<Vec<_>, _>>()?;
-            ScheduleEventKind::Partition { groups }
+            WorldEvent::Partition { groups }
         }
-        "heal" => ScheduleEventKind::Heal,
-        "crash" => ScheduleEventKind::CrashNodes {
+        "heal" => WorldEvent::Heal,
+        "crash" => WorldEvent::CrashNodes {
             nodes: {
                 let e = req(t, file, what, "nodes")?;
                 as_u32_list(&e, file)?
             },
         },
-        "recover" => ScheduleEventKind::RecoverNodes {
+        "recover" => WorldEvent::RecoverNodes {
             nodes: {
                 let e = req(t, file, what, "nodes")?;
                 as_u32_list(&e, file)?
             },
         },
-        "set-link-loss" => {
-            let p = req_f64(t, file, what, "p")?;
-            if !(0.0..=1.0).contains(&p) {
-                return Err(SpecError::new(
-                    file,
-                    t.line,
-                    format!("{what}: link-loss p must be in [0, 1], got {p}"),
-                ));
-            }
-            ScheduleEventKind::SetLinkLoss { p }
-        }
+        "set-link-loss" => WorldEvent::SetLinkLoss {
+            p: req_f64(t, file, what, "p")?,
+        },
         other => {
             return Err(SpecError::new(
                 file,
@@ -838,7 +834,7 @@ fn build_event(
             ))
         }
     };
-    Ok((slot, event))
+    Ok((slot, event, None))
 }
 
 fn build_cell(raw: &mut RawCell, file: &str, index: usize) -> Result<CellSpec, SpecError> {
@@ -854,25 +850,13 @@ fn build_cell(raw: &mut RawCell, file: &str, index: usize) -> Result<CellSpec, S
     t.reject_leftovers(file, &what)?;
 
     let mut schedule = ScheduleSpec::new();
-    let mut prev_slot: Option<u64> = None;
     for (ei, event_table) in raw.events.iter_mut().enumerate() {
         let ewhat = format!("cell {index} event {ei}");
-        let (slot, event) = build_event(event_table, file, &ewhat)?;
-        if let Some(prev) = prev_slot {
-            if slot < prev {
-                return Err(SpecError::new(
-                    file,
-                    event_table.line,
-                    format!(
-                        "{ewhat}: out-of-order event — slot {slot} after slot {prev} \
-                         (events must be nondecreasing)"
-                    ),
-                ));
-            }
-        }
+        let (slot, event, swap) = build_event(event_table, file, &ewhat)?;
+        schedule
+            .try_push(slot, event, swap)
+            .map_err(|e| SpecError::new(file, event_table.line, format!("{ewhat}: {e}")))?;
         event_table.reject_leftovers(file, &ewhat)?;
-        prev_slot = Some(slot);
-        schedule = schedule.at(slot, event);
     }
 
     let mut cell = CellSpec::new(protocol, adversary)
@@ -1031,11 +1015,11 @@ kind = "heal"
         assert_eq!(c0.max_slots, 100_000);
         assert_eq!(c0.schedule.len(), 2);
         assert_eq!(c0.schedule.detail(), "swap-eve@4096, crash@8192");
-        let (_, ScheduleEventKind::SwapEve(swapped)) = &c0.schedule.events[0] else {
+        let (_, WorldEvent::SwapEve) = &c0.schedule.events.events()[0] else {
             panic!("first event must be the swap");
         };
         assert!(matches!(
-            swapped,
+            &c0.schedule.swaps[0],
             AdversaryKind::Reactive {
                 t: 20000,
                 max_channels: 8
@@ -1045,7 +1029,7 @@ kind = "heal"
         let c1 = &spec.cells[1];
         assert!(matches!(c1.topology, TopologyKind::Grid { cols: 8 }));
         assert_eq!(c1.schedule.detail(), "partition@64, heal@512");
-        let (_, ScheduleEventKind::Partition { groups }) = &c1.schedule.events[0] else {
+        let (_, WorldEvent::Partition { groups }) = &c1.schedule.events.events()[0] else {
             panic!("first event must be the partition");
         };
         assert_eq!(groups, &vec![vec![0, 1, 2, 3]]);
@@ -1149,6 +1133,21 @@ kind = "heal"
         assert!(err.msg.contains("missing required key `slot`"), "{err}");
     }
 
+    /// A partition without groups breaks the engine's schedule rule; the
+    /// loader reports it at the event's table instead of letting the
+    /// first trial panic on it.
+    #[test]
+    fn empty_partition_fails_at_its_event_line() {
+        let text = "name = \"x\"\n[[cell]]\nprotocol = \"naive\"\nn = 16\n\
+                    [[cell.event]]\nslot = 0\nkind = \"heal\"\n\
+                    [[cell.event]]\nslot = 64\nkind = \"partition\"\ngroups = []\n";
+        let err = parse_spec(text, "empty-partition.toml").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "empty-partition.toml:8: cell 0 event 1: a partition needs at least one group"
+        );
+    }
+
     #[test]
     fn duplicate_keys_are_rejected() {
         let err = parse_spec("name = \"a\"\nname = \"b\"\n", "x.toml").unwrap_err();
@@ -1250,7 +1249,7 @@ kind = "heal"
             ]
         );
         for cell in &spec.cells {
-            let (_, ScheduleEventKind::CrashNodes { nodes }) = &cell.schedule.events[0] else {
+            let (_, WorldEvent::CrashNodes { nodes }) = &cell.schedule.events.events()[0] else {
                 panic!("the event must be the crash");
             };
             assert_eq!(nodes, &vec![1, 2]);

@@ -554,7 +554,8 @@ impl Store {
 mod tests {
     use super::*;
     use crate::scenario::registry;
-    use rcb_harness::{AdversaryKind, ProtocolKind, ScheduleEventKind, ScheduleSpec, TopologyKind};
+    use rcb_harness::{AdversaryKind, ProtocolKind, ScheduleSpec, TopologyKind};
+    use rcb_sim::WorldEvent;
 
     fn base_cell() -> CellSpec {
         CellSpec::new(
@@ -599,8 +600,17 @@ mod tests {
         perturbed.push(("topology", base_key(&c)));
         // Schedule.
         let mut c = base_cell();
-        c.schedule = ScheduleSpec::new().at(10, ScheduleEventKind::CrashNodes { nodes: vec![3] });
+        c.schedule = ScheduleSpec::new().at(10, WorldEvent::CrashNodes { nodes: vec![3] });
         perturbed.push(("schedule", base_key(&c)));
+        // A swap-in adversary's budget: the seat lives beside the event
+        // list, and the key must still cover it.
+        let swap_to = |t| {
+            let mut c = base_cell();
+            c.schedule = ScheduleSpec::new().swap_eve(10, AdversaryKind::Uniform { t, frac: 0.5 });
+            base_key(&c)
+        };
+        perturbed.push(("swap-in adversary", swap_to(500)));
+        perturbed.push(("swap-in budget", swap_to(501)));
         // Trial count, seed base, cell position, slot cap, campaign name.
         let cell = base_cell();
         perturbed.push(("trials", store_key("camp", 7, 2, &cell, 100_000, 51)));

@@ -4,6 +4,7 @@
 
 use rcb_campaign::{find, load_spec, registry};
 use rcb_harness::TopologyKind;
+use rcb_sim::WorldEvent;
 
 fn path_of(name: &str) -> String {
     format!("{}/scenarios/{name}.toml", env!("CARGO_MANIFEST_DIR"))
@@ -66,4 +67,30 @@ fn multi_hop_radius_is_the_connectivity_radius_for_64_nodes() {
     for r in radii {
         assert_eq!(r.to_bits(), want.to_bits(), "{r} != {want}");
     }
+}
+
+/// A cell's swap-in adversaries sit beside its event list, one per
+/// `swap-eve` event, and the runner seats them in that order, so every
+/// catalog cell must pair them exactly (the nemesis scenario has some).
+#[test]
+fn every_catalog_cell_has_one_swap_adversary_per_swap_event() {
+    let mut swaps_seen = 0;
+    for s in registry() {
+        for (i, cell) in s.spec().cells.iter().enumerate() {
+            let swap_events = cell
+                .schedule
+                .events
+                .iter()
+                .filter(|(_, e)| matches!(e, WorldEvent::SwapEve))
+                .count();
+            assert_eq!(
+                cell.schedule.swaps.len(),
+                swap_events,
+                "{} cell {i}",
+                s.name
+            );
+            swaps_seen += swap_events;
+        }
+    }
+    assert!(swaps_seen > 0, "the catalog schedules no swap at all");
 }

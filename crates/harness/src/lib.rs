@@ -1,8 +1,8 @@
 //! # rcb-harness — parallel Monte-Carlo experiment runner
 //!
 //! Describes trials as plain data ([`TrialSpec`] = protocol × adversary ×
-//! topology × seed), runs them in parallel across CPU cores, and distills
-//! each run into a [`TrialResult`].
+//! topology × schedule × seed), runs them in parallel across CPU cores, and
+//! distills each run into a [`TrialResult`].
 //!
 //! Every parallel run in the workspace goes through one pool,
 //! [`run_ordered`]: std scoped workers claim indices from an atomic cursor,
@@ -22,7 +22,10 @@
 //! threads; [`AdversaryKind::is_adaptive`] marks the execution-observing
 //! strategies, which [`run_trial`] mounts into the adaptive seat of the
 //! engine's unified `Eve` enum automatically — every trial is one
-//! `rcb_sim::Simulation` build. Per-trial knobs beyond the spec (a base
+//! `rcb_sim::Simulation` build. A [`ScheduleSpec`] is the engine's own
+//! `rcb_sim::WorldSchedule`, mounted as is, plus the adversary each swap
+//! event seats; the engine's `WorldSchedule::try_push` is the one place
+//! its rules are checked. Per-trial knobs beyond the spec (a base
 //! engine config, an observer) go through [`TrialOptions`] and
 //! [`run_trial_opts`].
 //!
@@ -65,6 +68,4 @@ pub use runner::{
     cell_trial_seed, resolve_threads, run_ordered, run_trial, run_trial_opts, run_trial_telemetry,
     run_trials, TrialOptions, TrialResult,
 };
-pub use spec::{
-    AdversaryKind, ProtocolKind, ScheduleEventKind, ScheduleSpec, TopologyKind, TrialSpec,
-};
+pub use spec::{AdversaryKind, ProtocolKind, ScheduleSpec, TopologyKind, TrialSpec};

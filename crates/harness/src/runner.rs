@@ -2,7 +2,7 @@
 //! and fan trials out across CPU cores through one ordered pool
 //! ([`run_ordered`]).
 
-use crate::spec::{AdversaryKind, ProtocolKind, ScheduleEventKind, ScheduleSpec, TrialSpec};
+use crate::spec::{AdversaryKind, ProtocolKind, ScheduleSpec, TrialSpec};
 use rcb_adversary::{
     FullBandBurst, GilbertElliott, HotspotJammer, JamSpan, PeriodicPulse, RandomSubset,
     ReactiveJammer, Silent, SpanJammer, Sweep, UniformFraction,
@@ -14,7 +14,7 @@ use rcb_core::{
 };
 use rcb_sim::{
     derive_seed, AdaptiveAdversary, Adversary, EngineConfig, EngineTelemetry, Eve, Observer,
-    RunOutcome, ScheduleMarker, Simulation, WorldEvent, WorldSchedule,
+    RunOutcome, ScheduleMarker, Simulation,
 };
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
@@ -221,41 +221,14 @@ fn build_adversary_stream(kind: &AdversaryKind, master_seed: u64, stream: u64) -
 struct Noop;
 impl Observer for Noop {}
 
-/// Realize the declarative [`ScheduleSpec`] as an engine-level
-/// [`WorldSchedule`] plus the built swap-in adversaries (queued in event
-/// order, streams `1_000_010 + i`). Returns `None` for an empty spec so the
-/// unscheduled engine path is dispatched unchanged.
-fn build_schedule(
-    spec: &ScheduleSpec,
-    master_seed: u64,
-) -> (Option<WorldSchedule>, Vec<BuiltAdversary>) {
-    if spec.is_empty() {
-        return (None, Vec::new());
-    }
-    let mut world = WorldSchedule::new();
-    let mut swaps = Vec::new();
-    for (slot, event) in &spec.events {
-        let ev = match event {
-            ScheduleEventKind::SwapEve(kind) => {
-                let stream = SWAP_ADVERSARY_STREAM_BASE + swaps.len() as u64;
-                swaps.push(build_adversary_stream(kind, master_seed, stream));
-                WorldEvent::SwapEve
-            }
-            ScheduleEventKind::Partition { groups } => WorldEvent::Partition {
-                groups: groups.clone(),
-            },
-            ScheduleEventKind::Heal => WorldEvent::Heal,
-            ScheduleEventKind::CrashNodes { nodes } => WorldEvent::CrashNodes {
-                nodes: nodes.clone(),
-            },
-            ScheduleEventKind::RecoverNodes { nodes } => WorldEvent::RecoverNodes {
-                nodes: nodes.clone(),
-            },
-            ScheduleEventKind::SetLinkLoss { p } => WorldEvent::SetLinkLoss { p: *p },
-        };
-        world = world.at(*slot, ev);
-    }
-    (Some(world), swaps)
+/// Build the swap-in adversaries of `spec`, in event order: the `i`-th
+/// draws from stream `1_000_010 + i`.
+fn build_swap_eves(spec: &ScheduleSpec, master_seed: u64) -> Vec<BuiltAdversary> {
+    spec.swaps
+        .iter()
+        .zip(SWAP_ADVERSARY_STREAM_BASE..)
+        .map(|(kind, stream)| build_adversary_stream(kind, master_seed, stream))
+        .collect()
 }
 
 /// Per-trial knobs beyond the declarative [`TrialSpec`] itself. The single
@@ -309,17 +282,17 @@ fn simulate<P: rcb_sim::Protocol>(
     };
     let mut adversary = build_adversary(&spec.adversary, spec.seed);
     let topology = (!spec.topology.is_complete()).then(|| spec.topology.build(spec.seed));
-    let (world, mut swap_advs) = build_schedule(&spec.schedule, spec.seed);
+    let mut swap_eves = build_swap_eves(&spec.schedule, spec.seed);
     let mut noop = Noop;
+    // An empty schedule is byte-identical to none (see the engine's
+    // `schedule` module docs), so it is mounted unconditionally.
     let mut sim = Simulation::new(protocol)
         .eve(adversary.as_eve())
         .topology(topology.as_ref())
+        .schedule(&spec.schedule.events)
         .config(cfg);
-    if let Some(ws) = world.as_ref() {
-        sim = sim.schedule(ws);
-        for adv in swap_advs.iter_mut() {
-            sim = sim.swap_eve(adv.as_eve());
-        }
+    for adv in swap_eves.iter_mut() {
+        sim = sim.swap_eve(adv.as_eve());
     }
     sim.observer(match opts.observer.as_deref_mut() {
         Some(obs) => obs,
@@ -535,6 +508,7 @@ pub fn run_trials(specs: &[TrialSpec], threads: usize) -> Vec<TrialResult> {
 mod tests {
     use super::*;
     use rcb_core::McParams;
+    use rcb_sim::WorldEvent;
 
     fn quick_spec(seed: u64) -> TrialSpec {
         TrialSpec::new(
@@ -762,7 +736,7 @@ mod tests {
         .with_max_slots(100_000)
         .with_schedule(ScheduleSpec::new().at(
             0,
-            ScheduleEventKind::CrashNodes {
+            WorldEvent::CrashNodes {
                 nodes: vec![28, 29, 30, 31],
             },
         ));
@@ -794,9 +768,9 @@ mod tests {
             23,
         )
         .with_max_slots(500_000);
-        let swapped = base.clone().with_schedule(
-            ScheduleSpec::new().at(64, ScheduleEventKind::SwapEve(AdversaryKind::Silent)),
-        );
+        let swapped = base
+            .clone()
+            .with_schedule(ScheduleSpec::new().swap_eve(64, AdversaryKind::Silent));
         let r = run_trial(&swapped);
         assert!(r.completed, "{r:?}");
         assert_eq!(r.timeline.len(), 1);
@@ -810,6 +784,57 @@ mod tests {
             r.eve_spent,
             full.eve_spent
         );
+    }
+
+    /// Swap-in Eves are seated in event order, the `i`-th on stream
+    /// `1_000_010 + i`: a trial equals the run built by hand with that
+    /// seating, and differs from it when the streams are exchanged or the
+    /// two swaps come in the other order.
+    #[test]
+    fn swap_eves_take_streams_in_event_order() {
+        let first = AdversaryKind::Uniform {
+            t: 20_000,
+            frac: 0.75,
+        };
+        let second = AdversaryKind::RandomSubset { t: 20_000, k: 5 };
+        let spec = |a: &AdversaryKind, b: &AdversaryKind| {
+            TrialSpec::new(
+                ProtocolKind::MultiCast {
+                    n: 16,
+                    params: McParams::default(),
+                },
+                AdversaryKind::Silent,
+                31,
+            )
+            .with_schedule(
+                ScheduleSpec::new()
+                    .swap_eve(64, a.clone())
+                    .swap_eve(512, b.clone()),
+            )
+        };
+        let forward = spec(&first, &second);
+        let by_hand = |streams: [u64; 2]| {
+            let mut protocol = MultiCast::with_params(16, McParams::default());
+            let mut primary = build_adversary(&forward.adversary, forward.seed);
+            let mut a = build_adversary_stream(&first, forward.seed, streams[0]);
+            let mut b = build_adversary_stream(&second, forward.seed, streams[1]);
+            let out = Simulation::new(&mut protocol)
+                .eve(primary.as_eve())
+                .schedule(&forward.schedule.events)
+                .swap_eve(a.as_eve())
+                .swap_eve(b.as_eve())
+                .config(EngineConfig {
+                    max_slots: forward.max_slots,
+                    ..EngineConfig::default()
+                })
+                .run(forward.seed);
+            format!("{:?}", TrialResult::from_outcome(&forward, &out))
+        };
+        let got = format!("{:?}", run_trial(&forward));
+        assert_eq!(got, by_hand([1_000_010, 1_000_011]));
+        assert_ne!(got, by_hand([1_000_011, 1_000_010]), "streams exchanged");
+        let reversed = format!("{:?}", run_trial(&spec(&second, &first)));
+        assert_ne!(got, reversed, "swaps in the other order");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Declarative descriptions of protocols, adversaries, and trials.
 
 use rcb_core::{AdvParams, CoreParams, McParams};
+use rcb_sim::{WorldEvent, WorldSchedule};
 
 /// Which protocol to run, with its parameters. Plain data: `Clone + Send`,
 /// so sweeps can be built declaratively and dispatched across threads.
@@ -377,50 +378,17 @@ impl AdversaryKind {
     }
 }
 
-/// One declarative nemesis event, the harness-level mirror of
-/// [`rcb_sim::WorldEvent`]. The extra [`SwapEve`](Self::SwapEve) payload
-/// names the replacement adversary declaratively; the runner seeds and
-/// queues it (streams `1_000_010 + i` in swap order).
-#[derive(Clone, Debug)]
-pub enum ScheduleEventKind {
-    /// Replace the adversary seat with this strategy (fresh budget).
-    SwapEve(AdversaryKind),
-    /// Split the network into isolated groups (unlisted nodes form a
-    /// residual group).
-    Partition { groups: Vec<Vec<u32>> },
-    /// Remove any standing partition.
-    Heal,
-    /// Fail-stop the listed nodes (state preserved).
-    CrashNodes { nodes: Vec<u32> },
-    /// Re-admit the listed crashed nodes.
-    RecoverNodes { nodes: Vec<u32> },
-    /// Set the iid per-(round, edge) delivery-loss probability.
-    SetLinkLoss { p: f64 },
-}
-
-impl ScheduleEventKind {
-    /// Short name for report rows — matches
-    /// [`rcb_sim::WorldEvent::kind`] for the mirrored variants.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ScheduleEventKind::SwapEve(_) => "swap-eve",
-            ScheduleEventKind::Partition { .. } => "partition",
-            ScheduleEventKind::Heal => "heal",
-            ScheduleEventKind::CrashNodes { .. } => "crash",
-            ScheduleEventKind::RecoverNodes { .. } => "recover",
-            ScheduleEventKind::SetLinkLoss { .. } => "set-link-loss",
-        }
-    }
-}
-
-/// A declarative world schedule: time-indexed nemesis events in
-/// nondecreasing slot order. The harness-level mirror of
-/// [`rcb_sim::WorldSchedule`], kept as plain data so campaign specs stay
-/// `Clone + Send` and serializable.
+/// A trial's world schedule: the engine's own [`WorldSchedule`], mounted
+/// as is on every trial, plus the adversary each
+/// [`WorldEvent::SwapEve`] seats. The runner builds those swap-in Eves per
+/// trial, in event order, on streams `1_000_010 + i`. Plain data
+/// (`Clone + Send`), so campaign cells carry it across threads.
 #[derive(Clone, Debug, Default)]
 pub struct ScheduleSpec {
-    /// `(slot, event)` pairs, nondecreasing in slot.
-    pub events: Vec<(u64, ScheduleEventKind)>,
+    /// The `(slot, event)` script, checked by [`WorldSchedule::try_push`].
+    pub events: WorldSchedule,
+    /// The adversary of each `SwapEve` event, in event order.
+    pub swaps: Vec<AdversaryKind>,
 }
 
 impl ScheduleSpec {
@@ -428,15 +396,41 @@ impl ScheduleSpec {
         Self::default()
     }
 
-    /// Append an event; panics if `slot` precedes the last event's slot.
-    pub fn at(mut self, slot: u64, event: ScheduleEventKind) -> Self {
-        if let Some(&(last, _)) = self.events.last() {
-            assert!(
-                slot >= last,
-                "schedule events must be nondecreasing: {slot} after {last}"
-            );
-        }
-        self.events.push((slot, event));
+    /// Append an event with the adversary it seats: `Some` exactly for
+    /// [`WorldEvent::SwapEve`]. Every schedule rule is
+    /// [`WorldSchedule::try_push`]'s; a rejected event is not queued.
+    ///
+    /// # Panics
+    /// Panics if `swap` is `Some` for any other event or `None` for a swap.
+    pub fn try_push(
+        &mut self,
+        slot: u64,
+        event: WorldEvent,
+        swap: Option<AdversaryKind>,
+    ) -> Result<(), String> {
+        assert_eq!(
+            matches!(event, WorldEvent::SwapEve),
+            swap.is_some(),
+            "a swap-in adversary goes with exactly the swap-eve events"
+        );
+        self.events.try_push(slot, event)?;
+        self.swaps.extend(swap);
+        Ok(())
+    }
+
+    /// Append a non-swap event, builder-style; panics where
+    /// [`try_push`](Self::try_push) errs.
+    pub fn at(mut self, slot: u64, event: WorldEvent) -> Self {
+        self.try_push(slot, event, None)
+            .unwrap_or_else(|e| panic!("invalid schedule entry: {e}"));
+        self
+    }
+
+    /// Append a swap to `adversary`, builder-style; panics where
+    /// [`try_push`](Self::try_push) errs.
+    pub fn swap_eve(mut self, slot: u64, adversary: AdversaryKind) -> Self {
+        self.try_push(slot, WorldEvent::SwapEve, Some(adversary))
+            .unwrap_or_else(|e| panic!("invalid schedule entry: {e}"));
         self
     }
 
@@ -450,12 +444,12 @@ impl ScheduleSpec {
 
     /// Slot of the first event.
     pub fn first_slot(&self) -> Option<u64> {
-        self.events.first().map(|&(s, _)| s)
+        self.events.first_slot()
     }
 
     /// Slot of the last event.
     pub fn last_slot(&self) -> Option<u64> {
-        self.events.last().map(|&(s, _)| s)
+        self.events.last_slot()
     }
 
     /// Compact rendering for `rcb describe` / `rcb list` schedule columns:
@@ -473,7 +467,7 @@ impl ScheduleSpec {
         let items: Vec<String> = self
             .events
             .iter()
-            .map(|(slot, e)| format!("{}@{slot}", e.name()))
+            .map(|(slot, e)| format!("{}@{slot}", e.kind()))
             .collect();
         items.join(", ")
     }
@@ -631,17 +625,14 @@ mod tests {
         assert_eq!(empty.summary(), "none");
         assert_eq!(empty.first_slot(), None);
 
-        let one = ScheduleSpec::new().at(1000, ScheduleEventKind::Heal);
+        let one = ScheduleSpec::new().at(1000, WorldEvent::Heal);
         assert_eq!(one.summary(), "1 event @ 1000");
         assert_eq!(one.detail(), "heal@1000");
 
         let many = ScheduleSpec::new()
-            .at(100, ScheduleEventKind::CrashNodes { nodes: vec![1, 2] })
-            .at(500, ScheduleEventKind::RecoverNodes { nodes: vec![1, 2] })
-            .at(
-                900,
-                ScheduleEventKind::SwapEve(AdversaryKind::Uniform { t: 10, frac: 0.5 }),
-            );
+            .at(100, WorldEvent::CrashNodes { nodes: vec![1, 2] })
+            .at(500, WorldEvent::RecoverNodes { nodes: vec![1, 2] })
+            .swap_eve(900, AdversaryKind::Uniform { t: 10, frac: 0.5 });
         assert_eq!(many.summary(), "3 events @ 100..900");
         assert_eq!(many.detail(), "crash@100, recover@500, swap-eve@900");
         assert_eq!(many.last_slot(), Some(900));
@@ -651,7 +642,7 @@ mod tests {
     #[should_panic(expected = "nondecreasing")]
     fn schedule_spec_rejects_out_of_order_events() {
         let _ = ScheduleSpec::new()
-            .at(500, ScheduleEventKind::Heal)
-            .at(100, ScheduleEventKind::Heal);
+            .at(500, WorldEvent::Heal)
+            .at(100, WorldEvent::Heal);
     }
 }

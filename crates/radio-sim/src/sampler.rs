@@ -106,66 +106,6 @@ pub fn bernoulli_subset(rng: &mut Xoshiro256, m: usize, p: f64, out: &mut Vec<u3
     }
 }
 
-/// Reference implementation: flip one coin per index. Used by tests and by
-/// the engine's dense cross-validation mode.
-pub fn bernoulli_subset_dense(rng: &mut Xoshiro256, m: usize, p: f64, out: &mut Vec<u32>) {
-    for i in 0..m {
-        if rng.gen_bool(p) {
-            out.push(i as u32);
-        }
-    }
-}
-
-/// Sample two *mutually exclusive* index classes over `0..m`:
-/// each index lands in class 1 with probability `p1`, in class 2 with
-/// probability `p2`, and in neither with probability `1 − p1 − p2`,
-/// independently across indices.
-///
-/// This models the per-node coin of the paper's pseudocode
-/// (`coin ← rnd(1, 1/p)`; `coin == 1` → one action, `coin == 2` → another):
-/// we first sample the union (an index acts w.p. `p1 + p2`) and then assign
-/// each actor to class 1 w.p. `p1/(p1+p2)` — an exact multinomial thinning.
-///
-/// # Panics
-/// Panics if `p1 + p2 > 1 + ε`.
-pub fn sample_two_class(
-    rng: &mut Xoshiro256,
-    m: usize,
-    p1: f64,
-    p2: f64,
-    class1: &mut Vec<u32>,
-    class2: &mut Vec<u32>,
-    scratch: &mut Vec<u32>,
-) {
-    debug_assert!(p1 >= 0.0 && p2 >= 0.0);
-    let total = p1 + p2;
-    assert!(
-        total <= 1.0 + 1e-12,
-        "action probabilities must satisfy p1 + p2 <= 1 (got {p1} + {p2})"
-    );
-    if total <= 0.0 || m == 0 {
-        return;
-    }
-    scratch.clear();
-    bernoulli_subset(rng, m, total.min(1.0), scratch);
-    if p2 <= 0.0 {
-        class1.extend_from_slice(scratch);
-        return;
-    }
-    if p1 <= 0.0 {
-        class2.extend_from_slice(scratch);
-        return;
-    }
-    let frac1 = p1 / total;
-    for &idx in scratch.iter() {
-        if rng.gen_bool(frac1) {
-            class1.push(idx);
-        } else {
-            class2.push(idx);
-        }
-    }
-}
-
 /// Draw `Geometric(p)` on `{0, 1, …}` by inversion — `⌊ln(1−U)/ln(1−p)⌋` —
 /// from a precomputed `ln_q = ln(1 − p)`, saturating to `u64::MAX`
 /// ("never") on overflow or a degenerate draw.
@@ -270,8 +210,8 @@ impl std::fmt::Debug for GapGuide {
 /// Bernoulli(`p1 + p2`) process over `R·m` indices, chopped into rounds of
 /// `m`: index `I` is round `I / m`, node `I % m`. By memorylessness of the
 /// geometric gap this is *exactly* the same joint distribution as drawing
-/// each round independently (the restart-per-round scheme of
-/// [`sample_two_class`]), but it has a property the restart scheme lacks:
+/// each round independently (the restart-per-round scheme the tests keep
+/// as their reference), but it has a property the restart scheme lacks:
 /// **an empty round consumes no randomness**. When the carried gap exceeds
 /// `m`, the stream already knows — without touching the RNG — that the next
 /// `gap / m` whole rounds select nobody, so the engine can fast-forward
@@ -281,7 +221,7 @@ impl std::fmt::Debug for GapGuide {
 /// subtracts `m`).
 ///
 /// Selected actors are thinned into class 1 (probability `p1 / (p1 + p2)`)
-/// or class 2 with one `gen_bool` draw each, as in [`sample_two_class`].
+/// or class 2 with one `gen_bool` draw each, as in the reference.
 /// Which of `gen_bool`'s cases applies is fixed when the stream opens: a
 /// one-sided segment, or a class-1 fraction that rounds to `≤ 0` or `≥ 1`,
 /// sends every actor to one class and draws no class word, exactly as
@@ -482,6 +422,66 @@ fn invert_word(word: u64, ln_q: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference for [`bernoulli_subset`]: flip one coin per index.
+    fn bernoulli_subset_dense(rng: &mut Xoshiro256, m: usize, p: f64, out: &mut Vec<u32>) {
+        for i in 0..m {
+            if rng.gen_bool(p) {
+                out.push(i as u32);
+            }
+        }
+    }
+
+    /// Reference for [`TwoClassRoundStream`], restarted every round: sample
+    /// two *mutually exclusive* index classes over `0..m`. Each index lands
+    /// in class 1 with probability `p1`, in class 2 with probability `p2`,
+    /// and in neither with probability `1 − p1 − p2`, independently across
+    /// indices.
+    ///
+    /// This models the per-node coin of the paper's pseudocode
+    /// (`coin ← rnd(1, 1/p)`; `coin == 1` → one action, `coin == 2` → another):
+    /// we first sample the union (an index acts w.p. `p1 + p2`) and then assign
+    /// each actor to class 1 w.p. `p1/(p1+p2)` — an exact multinomial thinning.
+    ///
+    /// # Panics
+    /// Panics if `p1 + p2 > 1 + ε`.
+    fn sample_two_class(
+        rng: &mut Xoshiro256,
+        m: usize,
+        p1: f64,
+        p2: f64,
+        class1: &mut Vec<u32>,
+        class2: &mut Vec<u32>,
+        scratch: &mut Vec<u32>,
+    ) {
+        debug_assert!(p1 >= 0.0 && p2 >= 0.0);
+        let total = p1 + p2;
+        assert!(
+            total <= 1.0 + 1e-12,
+            "action probabilities must satisfy p1 + p2 <= 1 (got {p1} + {p2})"
+        );
+        if total <= 0.0 || m == 0 {
+            return;
+        }
+        scratch.clear();
+        bernoulli_subset(rng, m, total.min(1.0), scratch);
+        if p2 <= 0.0 {
+            class1.extend_from_slice(scratch);
+            return;
+        }
+        if p1 <= 0.0 {
+            class2.extend_from_slice(scratch);
+            return;
+        }
+        let frac1 = p1 / total;
+        for &idx in scratch.iter() {
+            if rng.gen_bool(frac1) {
+                class1.push(idx);
+            } else {
+                class2.push(idx);
+            }
+        }
+    }
 
     fn mean_count(p: f64, m: usize, trials: usize, seed: u64) -> (f64, f64) {
         let mut rng = Xoshiro256::seeded(seed);

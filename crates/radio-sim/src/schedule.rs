@@ -122,20 +122,25 @@ impl WorldSchedule {
         self
     }
 
-    /// Append an event, validating slot order and event parameters. This is
-    /// the spec-loader entry point: errors are strings ready for file/key
-    /// context wrapping.
+    /// Append an event, validating slot order and event parameters: the one
+    /// place a schedule's rules are checked. The spec loader builds every
+    /// cell's schedule through it (via the harness's `ScheduleSpec`), so its
+    /// errors are strings ready for file/line context wrapping, and a
+    /// rejected event is not queued.
     pub fn try_push(&mut self, slot: u64, event: WorldEvent) -> Result<(), String> {
         if let Some(&(last, _)) = self.events.last() {
             if slot < last {
                 return Err(format!(
-                    "events must be in nondecreasing slot order (slot {slot} after {last})"
+                    "out-of-order event — slot {slot} after slot {last} \
+                     (events must be nondecreasing)"
                 ));
             }
         }
         if let WorldEvent::SetLinkLoss { p } = &event {
             if !(0.0..=1.0).contains(p) {
-                return Err(format!("link-loss p must be a probability, got {p}"));
+                return Err(format!(
+                    "link-loss probability p must be in [0, 1], got {p}"
+                ));
             }
         }
         if let WorldEvent::Partition { groups } = &event {
@@ -150,6 +155,11 @@ impl WorldSchedule {
     /// The sorted `(slot, event)` list.
     pub fn events(&self) -> &[(u64, WorldEvent)] {
         &self.events
+    }
+
+    /// Iterate the `(slot, event)` pairs in slot order.
+    pub fn iter(&self) -> std::slice::Iter<'_, (u64, WorldEvent)> {
+        self.events.iter()
     }
 
     /// Number of queued events.
@@ -170,15 +180,6 @@ impl WorldSchedule {
     /// Slot of the latest event, if any.
     pub fn last_slot(&self) -> Option<u64> {
         self.events.last().map(|&(s, _)| s)
-    }
-
-    /// Number of queued [`WorldEvent::SwapEve`] events — the length the
-    /// swap-Eve queue should have.
-    pub fn swap_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|(_, e)| matches!(e, WorldEvent::SwapEve))
-            .count()
     }
 
     /// Does any event change connectivity (see
@@ -287,7 +288,12 @@ mod tests {
         assert!(!s.is_empty());
         assert_eq!(s.first_slot(), Some(10));
         assert_eq!(s.last_slot(), Some(99));
-        assert_eq!(s.swap_count(), 1);
+        assert_eq!(
+            s.iter()
+                .filter(|(_, e)| matches!(e, WorldEvent::SwapEve))
+                .count(),
+            1
+        );
         assert!(s.affects_connectivity());
         assert_eq!(s.events()[1].1.kind(), "heal");
     }
@@ -298,7 +304,7 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.first_slot(), None);
         assert_eq!(s.last_slot(), None);
-        assert_eq!(s.swap_count(), 0);
+        assert_eq!(s.iter().count(), 0);
         assert!(!s.affects_connectivity());
     }
 
