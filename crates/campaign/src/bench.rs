@@ -23,7 +23,7 @@
 
 use crate::checkpoint::{fnv1a64, FNV_BASIS};
 use crate::json::Json;
-use crate::report::{code_version, CellPerf};
+use crate::report::{code_version, perf_json};
 use crate::scenario::Scenario;
 use rcb_harness::{run_trial_telemetry, TrialOptions, TrialSpec};
 use rcb_sim::{derive_seed, EngineConfig, EngineTelemetry};
@@ -36,9 +36,10 @@ use std::time::Instant;
 ///   deterministic slot totals and host-dependent throughput fields.
 /// * **2** — per-cell `topology` (the connectivity graph the cell's trials
 ///   run over; `"complete"` is the single-hop model).
-/// * **3** — header `code_version` and per-cell `perf` block
-///   ([`CellPerf`]): telemetry counters merged over the fast-engine
-///   trials; its wall leaves mirror the cell's measured timing.
+/// * **3** — header `code_version` and per-cell `perf` block (the
+///   campaign artifact's, rendered by the same `perf_json`): telemetry
+///   counters merged over the fast-engine trials; its wall leaves mirror
+///   the cell's measured timing.
 /// * **4** — cells that run under a world schedule (the `nemesis`
 ///   scenario) carry a `schedule` string leaf (the event list); the leaf is
 ///   omitted on unscheduled cells, so pre-existing cells render
@@ -134,11 +135,12 @@ pub struct CellBench {
     /// defined as, `slots_per_sec / ref_slots_per_sec`, whose two minima
     /// sample different moments.
     pub speedup: Option<f64>,
-    /// Engine telemetry merged over the fast-engine trials (schema v3).
-    /// Counter leaves are deterministic; the wall leaves repeat the cell's
-    /// measured `wall_s` / `slots_per_sec` (phase leaves stay zero — bench
-    /// does not enable per-phase timing, to keep the measured loop clean).
-    pub perf: CellPerf,
+    /// Engine telemetry merged over the fast-engine trials, rendered as the
+    /// `perf` block (schema v3). Counter leaves are deterministic; the wall
+    /// leaves repeat the cell's measured `wall_s` / `slots_per_sec` (phase
+    /// leaves stay zero — bench does not enable per-phase timing, to keep
+    /// the measured loop clean).
+    pub perf: EngineTelemetry,
     /// World-schedule event list (`"crash@64"`) for scheduled cells; `None`
     /// — and absent from the JSON — otherwise (schema v4).
     pub schedule: Option<String>,
@@ -178,7 +180,7 @@ impl CellBench {
             fields.push(("ref_slots_per_sec", r.into()));
             fields.push(("speedup", ratio_json(s)));
         }
-        fields.push(("perf", self.perf.to_json()));
+        fields.push(("perf", perf_json(&self.perf, self.wall_s)));
         if let Some(sched) = &self.schedule {
             fields.push(("schedule", sched.as_str().into()));
         }
@@ -414,11 +416,10 @@ pub fn run_bench(scenarios: &[Scenario], cfg: &BenchConfig) -> BenchReport {
         for (ci, cell) in spec.cells.iter().enumerate() {
             let specs: Vec<TrialSpec> = (0..cfg.trials_per_cell)
                 .map(|trial| {
-                    let seed = bench_trial_seed(cfg.seed, &spec.name, ci, trial);
-                    TrialSpec::new(cell.protocol.clone(), cell.adversary.clone(), seed)
-                        .with_topology(cell.topology.clone())
-                        .with_schedule(cell.schedule.clone())
-                        .with_max_slots(cfg.max_slots.unwrap_or(cell.max_slots))
+                    cell.trial_spec(
+                        bench_trial_seed(cfg.seed, &spec.name, ci, trial),
+                        cfg.max_slots.unwrap_or(cell.max_slots),
+                    )
                 })
                 .collect();
             let (ft, tel, rt) = time_cell_pair(
@@ -475,7 +476,7 @@ pub fn run_bench(scenarios: &[Scenario], cfg: &BenchConfig) -> BenchReport {
                 ref_wall_s: ref_wall,
                 ref_slots_per_sec,
                 speedup,
-                perf: CellPerf::from_telemetry(&tel, wall_s),
+                perf: tel,
                 schedule: (!cell.schedule.is_empty()).then(|| cell.schedule.detail()),
             });
         }
@@ -520,14 +521,15 @@ mod tests {
             assert!(c.slots_per_sec > 0.0);
             assert!(c.ref_slots_per_sec.unwrap() > 0.0);
             assert!(c.speedup.unwrap() > 0.0);
-            // The perf counters must agree with the cell's own totals.
-            assert_eq!(c.perf.slots_total, c.slots_total, "{c:?}");
-            assert_eq!(
-                c.perf.slots_stepped + c.perf.slots_fast_forwarded,
-                c.slots_total
-            );
-            assert!(c.perf.wall_s > 0.0);
-            assert!(c.perf.slots_per_sec > 0.0);
+            // The perf counters must agree with the cell's own totals, and
+            // the block's wall leaves repeat the cell's measured timing.
+            assert_eq!(c.perf.slots_total(), c.slots_total, "{c:?}");
+            let block = c.to_json();
+            let leaf = |key: &str| block.at_path(&format!("perf.{key}")).cloned();
+            assert_eq!(leaf("slots_total"), Some(c.slots_total.into()));
+            assert_eq!(leaf("wall_s"), Some(c.wall_s.into()));
+            assert!(c.wall_s > 0.0);
+            assert_eq!(leaf("slots_per_sec"), Some(c.slots_per_sec.into()));
         }
     }
 

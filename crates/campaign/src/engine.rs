@@ -52,7 +52,7 @@ use crate::checkpoint::{
     checkpoint_path, load_cell_checkpoint, write_checkpoint, CellCheckpoint, ServiceError,
 };
 use crate::report::{
-    code_version, CampaignReport, CellPerf, CellReport, MetricReport, ScheduleReport, TimelineEntry,
+    code_version, CampaignReport, CellReport, MetricReport, ScheduleReport, TimelineEntry,
 };
 use crate::scenario::{CampaignSpec, CellSpec};
 use crate::store::{checkpoint_key, Store};
@@ -254,13 +254,7 @@ impl CellAccumulator {
                     },
                 )
                 .collect(),
-            // Integer phase nanos sum deterministically across the ordered
-            // ingest, so the artifact stays thread-count independent even
-            // with timing on (for one fixed run's metrics stream).
-            perf: CellPerf::from_telemetry(
-                &self.telemetry,
-                self.telemetry.phases.total() as f64 * 1e-9,
-            ),
+            perf: self.telemetry.clone(),
             schedule: (!cell.schedule.is_empty()).then(|| ScheduleReport {
                 events: cell.schedule.len() as u64,
                 first_slot: cell.schedule.first_slot().unwrap_or(0),
@@ -302,15 +296,12 @@ impl CellAccumulator {
 
 /// Build the `TrialSpec` for global trial index `g`.
 fn trial_spec(spec: &CampaignSpec, cfg: &CampaignConfig, g: u64) -> TrialSpec {
-    let cell = &spec.cells[(g / cfg.trials_per_cell) as usize];
-    TrialSpec::new(
-        cell.protocol.clone(),
-        cell.adversary.clone(),
-        cell_trial_seed(cfg.seed, g / cfg.trials_per_cell, g % cfg.trials_per_cell),
+    let (c, t) = (g / cfg.trials_per_cell, g % cfg.trials_per_cell);
+    let cell = &spec.cells[c as usize];
+    cell.trial_spec(
+        cell_trial_seed(cfg.seed, c, t),
+        cfg.max_slots.unwrap_or(cell.max_slots),
     )
-    .with_topology(cell.topology.clone())
-    .with_schedule(cell.schedule.clone())
-    .with_max_slots(cfg.max_slots.unwrap_or(cell.max_slots))
 }
 
 /// The [`TrialOptions`] every campaign trial runs under: default engine

@@ -89,8 +89,8 @@ pub use engine::{
 pub use json::Json;
 pub use profile::{profile_cell, ProfileConfig};
 pub use report::{
-    code_version, CampaignReport, CellPerf, CellReport, HelperPhaseCount, MetricReport,
-    ScheduleReport, SpanLenBucket, TimelineEntry, SCHEMA_VERSION,
+    code_version, CampaignReport, CellReport, HelperPhaseCount, MetricReport, ScheduleReport,
+    TimelineEntry, SCHEMA_VERSION,
 };
 pub use scenario::{describe_campaign, find, registry, CampaignSpec, CellSpec, Scenario};
 pub use shard::{

@@ -14,9 +14,8 @@
 //! `perf` block for the same trial count.
 
 use crate::bench::bench_trial_seed;
-use crate::report::CellPerf;
 use crate::scenario::Scenario;
-use rcb_harness::{run_trial_telemetry, TrialOptions, TrialSpec};
+use rcb_harness::{run_trial_telemetry, TrialOptions};
 use rcb_sim::{EngineConfig, EngineTelemetry, SPAN_HIST_BUCKETS};
 use rcb_stats::Table;
 use std::time::Instant;
@@ -74,19 +73,19 @@ pub fn profile_cell(
     let mut tel = EngineTelemetry::default();
     let mut completed = 0u64;
     for trial in 0..cfg.trials {
-        let seed = bench_trial_seed(cfg.seed, &spec.name, cell_index, trial);
-        let ts = TrialSpec::new(cell.protocol.clone(), cell.adversary.clone(), seed)
-            .with_topology(cell.topology.clone())
-            .with_schedule(cell.schedule.clone())
-            .with_max_slots(cfg.max_slots.unwrap_or(cell.max_slots));
+        let ts = cell.trial_spec(
+            bench_trial_seed(cfg.seed, &spec.name, cell_index, trial),
+            cfg.max_slots.unwrap_or(cell.max_slots),
+        );
         let (r, t) = run_trial_telemetry(&ts, TrialOptions::with_engine(engine));
         completed += r.completed as u64;
         tel.merge(&t);
     }
     let wall_s = started.elapsed().as_secs_f64();
-    let perf = CellPerf::from_telemetry(&tel, wall_s);
 
-    Ok(render(&spec.name, cell_index, cell, cfg, completed, &perf))
+    Ok(render(
+        &spec.name, cell_index, cell, cfg, completed, &tel, wall_s,
+    ))
 }
 
 fn pct(part: f64, whole: f64) -> String {
@@ -103,16 +102,20 @@ fn render(
     cell: &crate::scenario::CellSpec,
     cfg: &ProfileConfig,
     completed: u64,
-    perf: &CellPerf,
+    tel: &EngineTelemetry,
+    wall_s: f64,
 ) -> String {
-    let phase_total = perf.setup_s + perf.slot_loop_s + perf.fast_forward_s + perf.finalize_s;
+    let secs = |ns: u64| ns as f64 * 1e-9;
+    let phase_s = [
+        ("setup", secs(tel.phases.setup)),
+        ("slot loop", secs(tel.phases.slot_loop)),
+        ("fast-forward", secs(tel.phases.fast_forward)),
+        ("finalize", secs(tel.phases.finalize)),
+    ];
+    let phase_total: f64 = phase_s.iter().map(|&(_, s)| s).sum();
+    let slot_loop_s = phase_s[1].1;
     let mut phases = Table::new(&["phase", "seconds", "share"]);
-    for (name, secs) in [
-        ("setup", perf.setup_s),
-        ("slot loop", perf.slot_loop_s),
-        ("fast-forward", perf.fast_forward_s),
-        ("finalize", perf.finalize_s),
-    ] {
+    for (name, secs) in phase_s {
         phases.row(&[
             name.to_string(),
             format!("{secs:.4}"),
@@ -122,40 +125,39 @@ fn render(
     phases.row(&[
         "total (in-engine)".to_string(),
         format!("{phase_total:.4}"),
-        pct(phase_total, perf.wall_s),
+        pct(phase_total, wall_s),
     ]);
 
     let mut counters = Table::new(&["counter", "value"]);
-    let executed_rate = if perf.slot_loop_s > 0.0 {
-        perf.slots_stepped as f64 / perf.slot_loop_s
+    let executed_rate = if slot_loop_s > 0.0 {
+        tel.slots_stepped as f64 / slot_loop_s
+    } else {
+        0.0
+    };
+    let covered_rate = if wall_s > 0.0 {
+        tel.slots_total() as f64 / wall_s
     } else {
         0.0
     };
     for (name, value) in [
         ("trials", cfg.trials.to_string()),
         ("completed", completed.to_string()),
-        ("slots covered", perf.slots_total.to_string()),
-        ("slots executed", perf.slots_stepped.to_string()),
-        (
-            "slots fast-forwarded",
-            perf.slots_fast_forwarded.to_string(),
-        ),
+        ("slots covered", tel.slots_total().to_string()),
+        ("slots executed", tel.slots_stepped.to_string()),
+        ("slots fast-forwarded", tel.slots_fast_forwarded.to_string()),
         (
             "ff skip ratio",
-            format!("{:.2}%", 100.0 * perf.ff_skip_ratio),
+            format!("{:.2}%", 100.0 * tel.ff_skip_ratio()),
         ),
-        ("ff spans", perf.spans.to_string()),
-        ("mean span len", format!("{:.1}", perf.mean_span_len)),
-        ("ff gated segments", perf.ff_gated_segments.to_string()),
-        ("rng draws (engine)", perf.rng_engine_draws.to_string()),
-        ("rng draws (nodes)", perf.rng_node_draws.to_string()),
-        ("jam spent (stepped)", perf.jam_spent_stepped.to_string()),
-        ("jam spent (spans)", perf.jam_spent_spans.to_string()),
-        ("observer events", perf.observer_events.to_string()),
-        (
-            "covered slots/s",
-            format!("{:.2}M", perf.slots_per_sec * 1e-6),
-        ),
+        ("ff spans", tel.spans.to_string()),
+        ("mean span len", format!("{:.1}", tel.mean_span_len())),
+        ("ff gated segments", tel.ff_gated_segments.to_string()),
+        ("rng draws (engine)", tel.rng_engine_draws.to_string()),
+        ("rng draws (nodes)", tel.rng_node_draws.to_string()),
+        ("jam spent (stepped)", tel.jam_spent_stepped.to_string()),
+        ("jam spent (spans)", tel.jam_spent_spans.to_string()),
+        ("observer events", tel.observer_events.to_string()),
+        ("covered slots/s", format!("{:.2}M", covered_rate * 1e-6)),
         ("executed slots/s", format!("{:.2}M", executed_rate * 1e-6)),
     ] {
         counters.row(&[name.to_string(), value]);
@@ -172,23 +174,26 @@ fn render(
         cell.adversary.budget(),
         cfg.seed,
         cfg.trials,
-        perf.wall_s,
+        wall_s,
         phases.markdown(),
         counters.markdown(),
     );
 
-    if !perf.span_len_hist.is_empty() {
+    if tel.spans > 0 {
         let mut hist = Table::new(&["span length", "spans"]);
-        for b in &perf.span_len_hist {
-            let lo = 1u64 << b.log2;
-            let label = if b.log2 as usize == SPAN_HIST_BUCKETS - 1 {
+        for (log2, &count) in tel.span_len_hist.iter().enumerate() {
+            if count == 0 {
+                continue;
+            }
+            let lo = 1u64 << log2;
+            let label = if log2 == SPAN_HIST_BUCKETS - 1 {
                 format!("≥ {lo}")
-            } else if b.log2 == 0 {
+            } else if log2 == 0 {
                 "1".to_string()
             } else {
                 format!("{lo}–{}", (lo << 1) - 1)
             };
-            hist.row(&[label, b.count.to_string()]);
+            hist.row(&[label, count.to_string()]);
         }
         out.push_str(&format!(
             "\n## idle-span length histogram\n\n{}",
@@ -200,11 +205,11 @@ fn render(
         "\nThe fast-forward path skipped {:.2}% of covered slots in {} spans \
          (mean length {:.1}); the slot loop executed {} slots in {:.4}s \
          ({:.2}M executed slots/s).\n",
-        100.0 * perf.ff_skip_ratio,
-        perf.spans,
-        perf.mean_span_len,
-        perf.slots_stepped,
-        perf.slot_loop_s,
+        100.0 * tel.ff_skip_ratio(),
+        tel.spans,
+        tel.mean_span_len(),
+        tel.slots_stepped,
+        slot_loop_s,
         executed_rate * 1e-6,
     ));
     out
@@ -214,6 +219,20 @@ fn render(
 mod tests {
     use super::*;
     use crate::scenario::find;
+
+    /// Second column of a two-column markdown row.
+    fn value(row: &str) -> &str {
+        row.split('|').nth(2).expect("two-column row").trim()
+    }
+
+    /// Value of the counter row labelled `label`.
+    fn counter(text: &str, label: &str) -> String {
+        let row = text
+            .lines()
+            .find(|l| l.starts_with(&format!("| {label} ")))
+            .unwrap_or_else(|| panic!("row `{label}` missing:\n{text}"));
+        value(row).to_string()
+    }
 
     #[test]
     fn profile_reports_phase_and_counter_breakdown() {
@@ -265,17 +284,8 @@ mod tests {
             },
         )
         .unwrap();
-        let grab = |label: &str| -> String {
-            text.lines()
-                .find(|l| l.starts_with(&format!("| {label} ")))
-                .unwrap_or_else(|| panic!("row `{label}` missing:\n{text}"))
-                .split('|')
-                .nth(2)
-                .expect("two-column row")
-                .trim()
-                .to_string()
-        };
-        assert_eq!(grab("slots covered"), cell.perf.slots_total.to_string());
+        let grab = |label: &str| counter(&text, label);
+        assert_eq!(grab("slots covered"), cell.perf.slots_total().to_string());
         assert_eq!(
             grab("slots fast-forwarded"),
             cell.perf.slots_fast_forwarded.to_string()
@@ -284,5 +294,31 @@ mod tests {
             grab("rng draws (engine)"),
             cell.perf.rng_engine_draws.to_string()
         );
+    }
+
+    /// The idle-span histogram splits the `ff spans` counter by length:
+    /// its rows, one per non-empty log₂ bucket, add up to that counter.
+    #[test]
+    fn span_histogram_rows_sum_to_the_span_counter() {
+        let scenario = find("epidemic-race").expect("catalog entry");
+        let cfg = ProfileConfig {
+            trials: 1,
+            max_slots: Some(30_000),
+            ..ProfileConfig::default()
+        };
+        let text = profile_cell(&scenario, 2, &cfg).unwrap();
+        let (_, hist) = text
+            .split_once("## idle-span length histogram\n\n")
+            .unwrap_or_else(|| panic!("histogram missing:\n{text}"));
+        let rows: Vec<u64> = hist
+            .lines()
+            .take_while(|l| l.starts_with('|'))
+            .skip(2) // header and rule
+            .map(|row| value(row).parse().expect("span count"))
+            .collect();
+        assert!(rows.len() > 1, "{hist}");
+        assert!(rows.iter().all(|&count| count > 0), "{hist}");
+        assert_eq!(counter(&text, "ff spans"), "6917");
+        assert_eq!(rows.iter().sum::<u64>(), 6_917);
     }
 }

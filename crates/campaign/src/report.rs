@@ -19,7 +19,7 @@ use rcb_stats::Table;
 ///   `"complete"` is the paper's single-hop model) and `helper_events`
 ///   (count per distinct `MultiCastAdv` helper `(epoch, phase)`).
 /// * **3** — header `code_version` (build stamp of the producing binary)
-///   and per-cell `perf` block ([`CellPerf`]): engine telemetry counter
+///   and per-cell `perf` block (`perf_json`): engine telemetry counter
 ///   sums plus opt-in wall-clock phase timing. The counter leaves are
 ///   deterministic; the wall-clock leaves are host-dependent and are
 ///   ignored by `rcb diff` by default (zeros unless timing was requested).
@@ -43,134 +43,60 @@ pub fn code_version() -> &'static str {
     env!("RCB_CODE_VERSION")
 }
 
-/// One non-empty bucket of the fast-forward span length histogram:
-/// `count` spans had length in `[2^log2, 2^(log2+1))`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpanLenBucket {
-    pub log2: u32,
-    pub count: u64,
-}
-
-/// The per-cell `perf` block: engine telemetry merged over the cell's
-/// trials.
+/// Render the per-cell `perf` block: engine telemetry merged over the
+/// cell's trials, plus a wall-clock total.
 ///
 /// Two kinds of leaves live here, deliberately in one block:
 ///
 /// * **Deterministic counters** (`slots_*`, `spans`, `rng_*`, `jam_*`,
-///   `observer_events`, the histogram and the ratios derived from them) —
-///   pure functions of (scenario, seed, trials); byte-identical across
-///   hosts, thread counts, and whether timing was enabled.
+///   `observer_events`, `ff_gated_segments`, the sparse log₂ span-length
+///   histogram and the ratios derived from them) — pure functions of
+///   (scenario, seed, trials); byte-identical across hosts, thread counts,
+///   and whether timing was enabled.
 /// * **Host-dependent timing** (`wall_s`, `slots_per_sec`, and the four
 ///   `*_s` phase leaves) — all zero unless the producer opted into
 ///   wall-clock collection (`rcb run --perf`, `rcb bench`, `rcb profile`).
 ///   `rcb diff` ignores these leaves by default ([`crate::diff::DEFAULT_IGNORES`]).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct CellPerf {
-    pub slots_total: u64,
-    pub slots_stepped: u64,
-    pub slots_fast_forwarded: u64,
-    /// `slots_fast_forwarded / slots_total` (0 for empty cells).
-    pub ff_skip_ratio: f64,
-    pub spans: u64,
-    pub mean_span_len: f64,
-    /// Segments where the heuristic fast-forward gate fell back to the
-    /// plain slot loop (idle spans too unlikely or the run too short).
-    pub ff_gated_segments: u64,
-    /// Sparse log₂ histogram of fast-forward span lengths (non-empty
-    /// buckets only, ascending `log2`).
-    pub span_len_hist: Vec<SpanLenBucket>,
-    pub rng_engine_draws: u64,
-    pub rng_node_draws: u64,
-    pub jam_spent_stepped: u64,
-    pub jam_spent_spans: u64,
-    pub observer_events: u64,
-    /// Total wall-clock seconds attributed to the cell (0 when untimed).
-    pub wall_s: f64,
-    /// Covered slots (stepped + fast-forwarded) per wall second (0 when
-    /// untimed).
-    pub slots_per_sec: f64,
-    pub setup_s: f64,
-    pub slot_loop_s: f64,
-    pub fast_forward_s: f64,
-    pub finalize_s: f64,
-}
-
-impl CellPerf {
-    /// Build the block from merged engine telemetry plus a wall-clock total.
-    ///
-    /// Pass `wall_s = 0.0` when no timing was collected; the throughput
-    /// leaf stays zero rather than dividing by a meaningless duration.
-    pub fn from_telemetry(tel: &EngineTelemetry, wall_s: f64) -> Self {
-        let ns = 1e-9;
-        Self {
-            slots_total: tel.slots_total(),
-            slots_stepped: tel.slots_stepped,
-            slots_fast_forwarded: tel.slots_fast_forwarded,
-            ff_skip_ratio: tel.ff_skip_ratio(),
-            spans: tel.spans,
-            mean_span_len: tel.mean_span_len(),
-            ff_gated_segments: tel.ff_gated_segments,
-            span_len_hist: tel
-                .span_len_hist
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(b, &c)| SpanLenBucket {
-                    log2: b as u32,
-                    count: c,
-                })
-                .collect(),
-            rng_engine_draws: tel.rng_engine_draws,
-            rng_node_draws: tel.rng_node_draws,
-            jam_spent_stepped: tel.jam_spent_stepped,
-            jam_spent_spans: tel.jam_spent_spans,
-            observer_events: tel.observer_events,
-            wall_s,
-            slots_per_sec: if wall_s > 0.0 {
-                tel.slots_total() as f64 / wall_s
-            } else {
-                0.0
-            },
-            setup_s: tel.phases.setup as f64 * ns,
-            slot_loop_s: tel.phases.slot_loop as f64 * ns,
-            fast_forward_s: tel.phases.fast_forward as f64 * ns,
-            finalize_s: tel.phases.finalize as f64 * ns,
-        }
-    }
-
-    pub(crate) fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("slots_total", self.slots_total.into()),
-            ("slots_stepped", self.slots_stepped.into()),
-            ("slots_fast_forwarded", self.slots_fast_forwarded.into()),
-            ("ff_skip_ratio", self.ff_skip_ratio.into()),
-            ("spans", self.spans.into()),
-            ("mean_span_len", self.mean_span_len.into()),
-            ("ff_gated_segments", self.ff_gated_segments.into()),
-            (
-                "span_len_hist",
-                Json::arr(
-                    self.span_len_hist
-                        .iter()
-                        .map(|b| {
-                            Json::obj(vec![("log2", b.log2.into()), ("count", b.count.into())])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("rng_engine_draws", self.rng_engine_draws.into()),
-            ("rng_node_draws", self.rng_node_draws.into()),
-            ("jam_spent_stepped", self.jam_spent_stepped.into()),
-            ("jam_spent_spans", self.jam_spent_spans.into()),
-            ("observer_events", self.observer_events.into()),
-            ("wall_s", self.wall_s.into()),
-            ("slots_per_sec", self.slots_per_sec.into()),
-            ("setup_s", self.setup_s.into()),
-            ("slot_loop_s", self.slot_loop_s.into()),
-            ("fast_forward_s", self.fast_forward_s.into()),
-            ("finalize_s", self.finalize_s.into()),
-        ])
-    }
+///
+/// Pass `wall_s = 0.0` when no timing was collected; `slots_per_sec` then
+/// stays zero rather than dividing by a meaningless duration.
+pub(crate) fn perf_json(tel: &EngineTelemetry, wall_s: f64) -> Json {
+    let secs = |ns: u64| Json::from(ns as f64 * 1e-9);
+    let slots_per_sec = if wall_s > 0.0 {
+        tel.slots_total() as f64 / wall_s
+    } else {
+        0.0
+    };
+    // Non-empty buckets only, ascending: `count` spans had length in
+    // `[2^log2, 2^(log2+1))`.
+    let span_len_hist = tel
+        .span_len_hist
+        .iter()
+        .enumerate()
+        .filter(|&(_, &count)| count > 0)
+        .map(|(log2, &count)| Json::obj(vec![("log2", log2.into()), ("count", count.into())]))
+        .collect();
+    Json::obj(vec![
+        ("slots_total", tel.slots_total().into()),
+        ("slots_stepped", tel.slots_stepped.into()),
+        ("slots_fast_forwarded", tel.slots_fast_forwarded.into()),
+        ("ff_skip_ratio", tel.ff_skip_ratio().into()),
+        ("spans", tel.spans.into()),
+        ("mean_span_len", tel.mean_span_len().into()),
+        ("ff_gated_segments", tel.ff_gated_segments.into()),
+        ("span_len_hist", Json::arr(span_len_hist)),
+        ("rng_engine_draws", tel.rng_engine_draws.into()),
+        ("rng_node_draws", tel.rng_node_draws.into()),
+        ("jam_spent_stepped", tel.jam_spent_stepped.into()),
+        ("jam_spent_spans", tel.jam_spent_spans.into()),
+        ("observer_events", tel.observer_events.into()),
+        ("wall_s", wall_s.into()),
+        ("slots_per_sec", slots_per_sec.into()),
+        ("setup_s", secs(tel.phases.setup)),
+        ("slot_loop_s", secs(tel.phases.slot_loop)),
+        ("fast_forward_s", secs(tel.phases.fast_forward)),
+        ("finalize_s", secs(tel.phases.finalize)),
+    ])
 }
 
 /// Aggregated application record of one scheduled world event (schema v4).
@@ -332,8 +258,9 @@ pub struct CellReport {
     /// Helper promotions per `(epoch, phase)` over the cell's trials
     /// (`MultiCastAdv` only; empty otherwise).
     pub helper_events: Vec<HelperPhaseCount>,
-    /// Engine telemetry merged over the cell's trials (schema v3).
-    pub perf: CellPerf,
+    /// Engine telemetry merged over the cell's trials, rendered as the
+    /// `perf` block (schema v3) with the phase clocks' sum as its wall.
+    pub perf: EngineTelemetry,
     /// World-schedule block (schema v4); `None` — and absent from the
     /// JSON — for unscheduled cells.
     pub schedule: Option<ScheduleReport>,
@@ -367,7 +294,13 @@ impl CellReport {
                 "helper_events",
                 Json::arr(self.helper_events.iter().map(|h| h.to_json()).collect()),
             ),
-            ("perf", self.perf.to_json()),
+            // Integer phase nanos sum deterministically across the ordered
+            // ingest, so the artifact stays thread-count independent even
+            // with timing on (for one fixed run's metrics stream).
+            (
+                "perf",
+                perf_json(&self.perf, self.perf.phases.total() as f64 * 1e-9),
+            ),
         ];
         if let Some(sched) = &self.schedule {
             fields.push(("schedule", sched.to_json()));
@@ -503,7 +436,7 @@ mod tests {
                     phase: 3,
                     count: 2,
                 }],
-                perf: CellPerf::default(),
+                perf: EngineTelemetry::default(),
                 schedule: None,
             }],
         }
@@ -525,30 +458,60 @@ mod tests {
         assert!(j.ends_with("}\n"));
     }
 
+    /// The `perf` block's keys, their order and every float expression,
+    /// pinned byte for byte: seconds are `ns * 1e-9`, `slots_per_sec` is
+    /// `slots_total / wall_s`, the histogram lists non-empty buckets only.
+    /// The schedule counters belong to the `schedule` block, not this one.
     #[test]
     fn cell_perf_from_telemetry_derives_ratios() {
         let mut tel = EngineTelemetry {
-            slots_stepped: 100,
-            slots_fast_forwarded: 300,
-            spans: 2,
-            jam_spent_spans: 50,
-            jam_spent_stepped: 5,
+            slots_stepped: 1_234,
+            slots_fast_forwarded: 56_789,
+            spans: 7,
+            rng_engine_draws: 4_242,
+            rng_node_draws: 9_191,
+            jam_spent_stepped: 77,
+            jam_spent_spans: 555,
+            observer_events: 31,
+            schedule_events: 2,
+            ff_gated_segments: 5,
+            crashed_node_slots: 64,
+            phases: rcb_sim::PhaseNanos {
+                setup: 1_500,
+                slot_loop: 2_345_678,
+                fast_forward: 987_654,
+                finalize: 321,
+            },
             ..EngineTelemetry::default()
         };
-        tel.span_len_hist[6] = 1; // one span of length ~100
-        tel.span_len_hist[7] = 1; // one span of length ~200
-        let p = CellPerf::from_telemetry(&tel, 0.0);
-        assert_eq!(p.slots_total, 400);
-        assert!((p.ff_skip_ratio - 0.75).abs() < 1e-12);
-        assert_eq!(p.spans, 2);
-        assert!((p.mean_span_len - 150.0).abs() < 1e-12);
-        // Untimed: every wall-clock leaf stays exactly zero.
-        assert_eq!(p.wall_s, 0.0);
-        assert_eq!(p.slots_per_sec, 0.0);
-        assert_eq!(p.slot_loop_s, 0.0);
-        // Sparse histogram: 100 → bucket 6, 200 → bucket 7.
-        let buckets: Vec<u32> = p.span_len_hist.iter().map(|b| b.log2).collect();
-        assert_eq!(buckets, vec![6, 7]);
+        tel.span_len_hist[3] = 4;
+        tel.span_len_hist[12] = 3;
+        assert_eq!(
+            perf_json(&tel, 0.0123).to_compact(),
+            concat!(
+                r#"{"slots_total":58023,"slots_stepped":1234,"slots_fast_forwarded":56789,"#,
+                r#""ff_skip_ratio":0.9787325715664478,"spans":7,"#,
+                r#""mean_span_len":8112.714285714285,"ff_gated_segments":5,"#,
+                r#""span_len_hist":[{"log2":3,"count":4},{"log2":12,"count":3}],"#,
+                r#""rng_engine_draws":4242,"rng_node_draws":9191,"jam_spent_stepped":77,"#,
+                r#""jam_spent_spans":555,"observer_events":31,"wall_s":0.0123,"#,
+                r#""slots_per_sec":4717317.073170732,"setup_s":0.0000015,"#,
+                r#""slot_loop_s":0.0023456780000000003,"fast_forward_s":0.0009876540000000001,"#,
+                r#""finalize_s":0.00000032100000000000003}"#,
+            )
+        );
+        // Untimed and empty: every ratio and wall-clock leaf is exactly 0.
+        assert_eq!(
+            perf_json(&EngineTelemetry::default(), 0.0).to_compact(),
+            concat!(
+                r#"{"slots_total":0,"slots_stepped":0,"slots_fast_forwarded":0,"#,
+                r#""ff_skip_ratio":0,"spans":0,"mean_span_len":0,"ff_gated_segments":0,"#,
+                r#""span_len_hist":[],"rng_engine_draws":0,"rng_node_draws":0,"#,
+                r#""jam_spent_stepped":0,"jam_spent_spans":0,"observer_events":0,"#,
+                r#""wall_s":0,"slots_per_sec":0,"setup_s":0,"slot_loop_s":0,"#,
+                r#""fast_forward_s":0,"finalize_s":0}"#,
+            )
+        );
     }
 
     /// Schema v4's central compatibility promise: the `schedule` block is a

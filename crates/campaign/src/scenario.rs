@@ -20,7 +20,7 @@
 //! races, and scaling ladders.
 
 use crate::specfile::parse_spec;
-use rcb_harness::{AdversaryKind, ProtocolKind, ScheduleSpec, TopologyKind};
+use rcb_harness::{AdversaryKind, ProtocolKind, ScheduleSpec, TopologyKind, TrialSpec};
 
 /// One aggregation cell of a campaign: a protocol/adversary/topology
 /// triple run for many seeds. Everything the engine needs to build a
@@ -64,6 +64,16 @@ impl CellSpec {
     pub fn with_schedule(mut self, schedule: ScheduleSpec) -> Self {
         self.schedule = schedule;
         self
+    }
+
+    /// One trial of this cell: its protocol, adversary, topology and
+    /// schedule at master `seed`, capped at `max_slots` (the cell's own
+    /// cap, or a run-wide override).
+    pub fn trial_spec(&self, seed: u64, max_slots: u64) -> TrialSpec {
+        TrialSpec::new(self.protocol.clone(), self.adversary.clone(), seed)
+            .with_topology(self.topology.clone())
+            .with_schedule(self.schedule.clone())
+            .with_max_slots(max_slots)
     }
 }
 

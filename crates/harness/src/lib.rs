@@ -27,7 +27,7 @@
 //! event seats; the engine's `WorldSchedule::try_push` is the one place
 //! its rules are checked. Per-trial knobs beyond the spec (a base
 //! engine config, an observer) go through [`TrialOptions`] and
-//! [`run_trial_opts`].
+//! [`run_trial_telemetry`], which also returns the run's engine telemetry.
 //!
 //! Worker-count resolution is shared by every CLI through
 //! [`resolve_threads`]: an explicit `--threads K` wins, otherwise the
@@ -59,13 +59,11 @@
 //! aggregation over many seeds; use the harness directly when you need
 //! per-trial results or a custom observer.
 
-pub mod report;
 pub mod runner;
 pub mod spec;
 
-pub use report::{sweep_by, SweepPoint};
 pub use runner::{
-    cell_trial_seed, resolve_threads, run_ordered, run_trial, run_trial_opts, run_trial_telemetry,
-    run_trials, TrialOptions, TrialResult,
+    cell_trial_seed, resolve_threads, run_ordered, run_trial, run_trial_telemetry, run_trials,
+    TrialOptions, TrialResult,
 };
 pub use spec::{AdversaryKind, ProtocolKind, ScheduleSpec, TopologyKind, TrialSpec};

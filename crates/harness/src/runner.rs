@@ -233,8 +233,9 @@ fn build_swap_eves(spec: &ScheduleSpec, master_seed: u64) -> Vec<BuiltAdversary>
 
 /// Per-trial knobs beyond the declarative [`TrialSpec`] itself. The single
 /// options struct behind every trial entry point: `rcb bench` overrides
-/// `engine` to time the slot-by-slot reference, experiments mount an
-/// `observer` to capture growth curves.
+/// `engine` to time the slot-by-slot reference, `rcb profile` and
+/// `rcb run --perf` turn on its phase timing, and the perfbench tracer
+/// mounts an `observer` to count protocol actions and boundaries.
 #[derive(Default)]
 pub struct TrialOptions<'a> {
     /// Base engine configuration. The spec's slot cap and the protocol's
@@ -256,7 +257,7 @@ impl<'a> TrialOptions<'a> {
     }
 
     /// Options streaming engine events into `observer` (used by the
-    /// epidemic-growth experiment to capture informed-count curves).
+    /// perfbench tracer to count protocol actions and boundaries).
     pub fn with_observer(observer: &'a mut dyn Observer) -> Self {
         Self {
             engine: EngineConfig::default(),
@@ -303,18 +304,13 @@ fn simulate<P: rcb_sim::Protocol>(
 
 /// Run a single trial with default options.
 pub fn run_trial(spec: &TrialSpec) -> TrialResult {
-    run_trial_opts(spec, TrialOptions::default())
-}
-
-/// Run a single trial under explicit [`TrialOptions`].
-pub fn run_trial_opts(spec: &TrialSpec, opts: TrialOptions<'_>) -> TrialResult {
-    run_trial_telemetry(spec, opts).0
+    run_trial_telemetry(spec, TrialOptions::default()).0
 }
 
 /// Run a single trial under explicit [`TrialOptions`] and also return the
 /// engine's [`EngineTelemetry`] for the run. Collecting telemetry never
-/// perturbs the trial itself — `run_trial_opts` is exactly the first
-/// element of this pair.
+/// perturbs the trial itself: the first element of the pair is the same
+/// `TrialResult` whether or not the caller reads the second.
 pub fn run_trial_telemetry(
     spec: &TrialSpec,
     mut opts: TrialOptions<'_>,
@@ -845,6 +841,42 @@ mod tests {
         assert_eq!(plain.max_cost, empty.max_cost);
         assert_eq!(plain.survivors, empty.survivors);
         assert!(empty.timeline.is_empty());
+    }
+
+    fn fake(budget: u64, slots: u64, max_cost: u64, completed: bool) -> TrialResult {
+        TrialResult {
+            protocol: "test",
+            adversary: "test",
+            n: 16,
+            budget,
+            seed: 0,
+            slots,
+            completed,
+            all_informed: completed,
+            all_informed_at: Some(slots / 2),
+            last_halt: if completed { Some(slots - 1) } else { None },
+            max_cost,
+            mean_cost: max_cost as f64 / 2.0,
+            source_cost: max_cost / 2,
+            eve_spent: budget,
+            safety_violations: 0,
+            helper_phases: Vec::new(),
+            crashed: 0,
+            survivors: 16,
+            survivors_informed: if completed { 16 } else { 8 },
+            timeline: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn completion_time_prefers_halt() {
+        let r = fake(0, 100, 1, true);
+        assert_eq!(r.completion_time(), 100); // last_halt 99 + 1
+        let mut r2 = fake(0, 100, 1, false);
+        r2.all_informed_at = Some(40);
+        assert_eq!(r2.completion_time(), 41);
+        r2.all_informed_at = None;
+        assert_eq!(r2.completion_time(), 100, "falls back to slots");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! cargo run --release --example channel_scarcity
 //! ```
 
-use rcb::harness::{run_trials, sweep_by, AdversaryKind, ProtocolKind, TrialSpec};
+use rcb::harness::{run_trials, AdversaryKind, ProtocolKind, TrialResult, TrialSpec};
 use rcb::stats::{fit_power_law, Table};
 
 fn main() {
@@ -49,14 +49,16 @@ fn main() {
     let mut points = Vec::new();
     for (idx, &c) in cs.iter().enumerate() {
         let batch = &results[idx * seeds as usize..(idx + 1) * seeds as usize];
-        let point = sweep_by(batch, |_| c as f64).remove(0);
-        points.push((c as f64, point.time.mean));
+        let mean = |f: fn(&TrialResult) -> f64| batch.iter().map(f).sum::<f64>() / seeds as f64;
+        let time = mean(|r| r.completion_time() as f64);
+        let completed = batch.iter().filter(|r| r.completed).count();
+        points.push((c as f64, time));
         table.row(&[
             c.to_string(),
-            format!("{:.0}", point.time.mean),
-            format!("{:.2e}", point.time.mean * c as f64),
-            format!("{:.0}", point.max_cost.mean),
-            format!("{:.0}%", point.completion_rate * 100.0),
+            format!("{time:.0}"),
+            format!("{:.2e}", time * c as f64),
+            format!("{:.0}", mean(|r| r.max_cost as f64)),
+            format!("{:.0}%", completed as f64 / seeds as f64 * 100.0),
         ]);
     }
     println!("{}", table.markdown());

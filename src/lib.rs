@@ -9,8 +9,8 @@
 //! * [`adversary`] — oblivious jamming strategies for Eve, budget-enforced;
 //! * [`core`](mod@core) — the protocols: `MultiCastCore`, `MultiCast`,
 //!   `MultiCastAdv`, `MultiCast(C)`, `MultiCastAdv(C)`, plus baselines;
-//! * [`stats`] — summary statistics, streaming aggregation, and the
-//!   log-log fits the experiments use to verify scaling exponents;
+//! * [`stats`] — streaming aggregation and the log-log fits the
+//!   experiments use to verify scaling exponents;
 //! * [`harness`] — a declarative, parallel Monte-Carlo trial runner;
 //! * [`campaign`] — a named scenario catalog plus a parallel campaign
 //!   engine with streaming aggregation and schema-versioned JSON
